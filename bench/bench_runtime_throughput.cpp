@@ -11,15 +11,12 @@
 ///    behaviour and per-pattern convergence.
 /// The pool is deliberately under-provisioned (tight estimate) so the cold
 /// runs pay the paper's restart protocol and the warm runs demonstrate the
-/// feedback loop. Each workload additionally runs on a feedback-tuned
-/// engine (EngineConfig::tuning = kFeedback) and reports the tuned-warm vs.
-/// default-warm speedup — the auto-tuner's marginal contribution; the
-/// dedicated tuner study with the gated speedup target is bench_autotune.
-/// A native lane then replays the mixed workload on two engines differing
-/// only in `EngineConfig::arch` — SimTitanXp vs. NativeCpu (docs/
-/// BACKENDS.md) — and gates native warm throughput at >= 2x the simulated
-/// engine's: the native backend skips all cost-model accounting and runs
-/// wall-clock-lean ESC/merge primitives, so its only job is to be fast.
+/// feedback loop. A native lane then replays the mixed workload on two
+/// engines differing only in `EngineConfig::arch` — SimTitanXp vs.
+/// NativeCpu (docs/BACKENDS.md) — and gates native warm throughput at >= 2x
+/// the simulated engine's: the native backend skips all cost-model
+/// accounting and runs wall-clock-lean ESC/merge primitives, so its only
+/// job is to be fast.
 /// Emits JSON (stdout + bench_out/bench_runtime_throughput.json) with
 /// jobs/s, plan-cache hit rate, pool reuse bytes, restart counts and the
 /// per-stage simulated-time breakdown aggregated over each batch's jobs
@@ -129,19 +126,10 @@ void emit(std::ostream& os, const acs::BatchBenchResult& r, bool last) {
 }
 
 struct BatchReport {
-  acs::BatchBenchResult naive, cold, warm, tuned_warm;
+  acs::BatchBenchResult naive, cold, warm;
 
   [[nodiscard]] double warm_speedup() const {
     return naive.jobs_per_s > 0.0 ? warm.jobs_per_s / naive.jobs_per_s : 0.0;
-  }
-  /// Feedback-tuned engine vs. the default-config engine, both warm — the
-  /// tuner's marginal contribution on top of plan caching. This workload is
-  /// double-valued, so the tuner's candidate grid is scratchpad-capped at
-  /// nnz_per_block = 512 (see docs/ARCHITECTURE.md); bench_autotune runs
-  /// the float workload where the full grid is feasible.
-  [[nodiscard]] double tuned_speedup() const {
-    return warm.jobs_per_s > 0.0 ? tuned_warm.jobs_per_s / warm.jobs_per_s
-                                 : 0.0;
   }
 };
 
@@ -155,12 +143,6 @@ BatchReport run_workload(const std::vector<Pair>& pairs, unsigned workers) {
   acs::runtime::Engine<double> engine(ec);
   rep.cold = acs::run_engine_batch(engine, pairs, cfg, "engine_cold");
   rep.warm = acs::run_engine_batch(engine, pairs, cfg, "engine_warm");
-
-  acs::runtime::EngineConfig tuned_ec = ec;
-  tuned_ec.tuning = acs::tune::TuningMode::kFeedback;
-  acs::runtime::Engine<double> tuned(tuned_ec);
-  acs::run_engine_batch(tuned, pairs, cfg, "tuned_cold");  // warm-up + tune
-  rep.tuned_warm = acs::run_engine_batch(tuned, pairs, cfg, "tuned_warm");
   return rep;
 }
 
@@ -170,9 +152,7 @@ void emit_workload(std::ostream& os, const std::string& name,
   emit(os, rep.naive, false);
   emit(os, rep.cold, false);
   emit(os, rep.warm, false);
-  emit(os, rep.tuned_warm, false);
-  os << "    \"warm_speedup_vs_naive\": " << rep.warm_speedup() << ",\n"
-     << "    \"tuned_speedup_vs_default\": " << rep.tuned_speedup() << "\n"
+  os << "    \"warm_speedup_vs_naive\": " << rep.warm_speedup() << "\n"
      << "  }" << (last ? "\n" : ",\n");
 }
 

@@ -6,9 +6,9 @@
 /// key plan caches by architecture without pulling in the tag types
 /// (arch.hpp) or the simulated device description.
 ///
-/// The numeric values are part of the persistent tune-cache format
-/// (runtime/tune_persist.hpp) and of serialized fingerprints — never
-/// renumber an existing entry, only append.
+/// The numeric values are part of structure fingerprints
+/// (runtime/fingerprint.hpp) — never renumber an existing entry, only
+/// append.
 
 #include <cstdint>
 

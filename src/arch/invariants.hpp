@@ -40,8 +40,8 @@ static_assert(SimBigDevice::kScratchpadBytes ==
 static_assert(SimBigDevice::kNumSms > SimTitanXp::kNumSms);
 static_assert(SimBigDevice::kThreadsPerBlock == SimTitanXp::kThreadsPerBlock);
 
-// Ids are distinct and stable (persisted in tune-cache records — see
-// runtime/tune_persist.hpp format notes).
+// Ids are distinct and stable (they key plan-cache fingerprints — see
+// runtime/fingerprint.hpp).
 static_assert(static_cast<unsigned>(SimTitanXp::kId) == 0);
 static_assert(static_cast<unsigned>(SimBigDevice::kId) == 1);
 static_assert(static_cast<unsigned>(NativeCpu::kId) == 2);

@@ -12,7 +12,6 @@
 /// consumes and refreshes one.
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "core/config.hpp"
@@ -23,8 +22,8 @@ namespace acs {
 /// Per-multiply parameters chosen by the auto-tuner (src/tune). A field at
 /// its sentinel value leaves the base `Config`'s setting untouched, so a
 /// default-constructed TunedParams is a no-op. Parameters are picked from
-/// *structural* features only (never from values), which keeps a stored
-/// plan applicable to every job sharing the structure fingerprint.
+/// *structural* features only (never from values), so one overlay applies
+/// to every job sharing the structure fingerprint.
 struct TunedParams {
   /// Non-zeros of A per block; 0 = keep `Config::nnz_per_block`.
   int nnz_per_block = 0;
@@ -73,20 +72,6 @@ struct SpgemmPlan {
   int observed_restarts = 0;
   /// Completed runs recorded into this plan.
   std::size_t runs = 0;
-
-  // --- Auto-tuner state (src/tune), carried through the PlanCache. -------
-  /// Parameters the tuner chose for this structure; invalid = untuned.
-  /// A warm plan-cache hit replays them for free (no feature re-extraction).
-  TunedParams tuned;
-  /// Exact intermediate-product count measured by the first tuned run
-  /// (`SpgemmStats::intermediate_products`). Structure-determined, so it is
-  /// identical for every job sharing the fingerprint; the feedback tuning
-  /// mode uses it to replace the sampled upfront estimate and re-rank
-  /// candidates. 0 = not measured yet.
-  offset_t measured_products = 0;
-  /// Feedback refinements applied (the refined choice is stable after the
-  /// first, because the calibration input is exact and structural).
-  std::uint32_t feedback_runs = 0;
 
   /// True if the stored load-balancing table can be reused for a
   /// multiplication of an A with `nnz` non-zeros under `cfg`.

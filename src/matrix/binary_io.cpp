@@ -3,7 +3,9 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace acs {
 namespace {
@@ -62,13 +64,32 @@ Csr<T> read_binary_file(const std::string& path) {
   read_raw(in, &nnz, 1);
   if (version != kVersion) throw std::runtime_error("acsb: unknown version");
   if (vw != sizeof(T)) throw std::runtime_error("acsb: value width mismatch");
-  if (m.rows < 0 || nnz < 0) throw std::runtime_error("acsb: negative sizes");
-  m.row_ptr.resize(static_cast<std::size_t>(m.rows) + 1);
-  m.col_idx.resize(static_cast<std::size_t>(nnz));
-  m.values.resize(static_cast<std::size_t>(nnz));
+  if (m.rows < 0 || m.cols < 0 || nnz < 0)
+    throw std::runtime_error("acsb: negative sizes");
+  if (nnz > std::numeric_limits<index_t>::max())
+    throw std::runtime_error("acsb: nnz exceeds the 32-bit index range");
+  // The header is untrusted: check the sizes it claims against the bytes
+  // actually left in the file before allocating anything.
+  const std::streamoff header_end = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  in.seekg(header_end);
+  if (!in || header_end < 0 || file_end < header_end)
+    throw std::runtime_error("acsb: cannot determine the length of " + path);
+  const auto rows = static_cast<std::uint64_t>(m.rows);
+  const auto entries = static_cast<std::uint64_t>(nnz);
+  const std::uint64_t body = (rows + 1) * sizeof(index_t) +
+                             entries * (sizeof(index_t) + sizeof(T));
+  if (body > static_cast<std::uint64_t>(file_end - header_end))
+    throw std::runtime_error("acsb: header sizes exceed the file length");
+  m.row_ptr.resize(static_cast<std::size_t>(rows) + 1);
+  m.col_idx.resize(static_cast<std::size_t>(entries));
+  m.values.resize(static_cast<std::size_t>(entries));
   read_raw(in, m.row_ptr.data(), m.row_ptr.size());
   read_raw(in, m.col_idx.data(), m.col_idx.size());
   read_raw(in, m.values.data(), m.values.size());
+  if (const std::string err = m.validate(); !err.empty())
+    throw std::runtime_error("acsb: invalid matrix in " + path + ": " + err);
   return m;
 }
 

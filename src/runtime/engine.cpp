@@ -1,11 +1,9 @@
 #include "runtime/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "arch/arch.hpp"
 #include "runtime/fingerprint.hpp"
-#include "runtime/tune_persist.hpp"
 
 namespace acs::runtime {
 
@@ -25,17 +23,6 @@ void apply_arch(Config& cfg, const EngineConfig& ecfg) {
 template <class T>
 Engine<T>::Engine(EngineConfig config)
     : config_(std::move(config)), cache_(config_.plan_cache_capacity) {
-  // Per-arch tuner grids: a tuner left at the stock nnz_per_block grid
-  // picks up the arch's default (SimBigDevice extends it upward). An
-  // explicitly customized grid wins. Must precede the persisted-tune load
-  // below — options_hash covers the grids.
-  if (config_.tuner.nnz_per_block == tune::TunerOptions{}.nnz_per_block)
-    config_.tuner.nnz_per_block =
-        tune::default_tuner_options(config_.arch).nnz_per_block;
-  load_persisted_tunes();  // before any thread exists — uncontended
-  bg_enabled_ = config_.background_retune &&
-                config_.tuning == tune::TuningMode::kFeedback;
-  if (bg_enabled_) bg_thread_ = std::thread([this] { bg_loop(); });
   unsigned n = config_.workers;
   if (n == 0) n = std::max(1u, std::thread::hardware_concurrency());
   workers_.reserve(n);
@@ -46,129 +33,12 @@ Engine<T>::Engine(EngineConfig config)
 template <class T>
 Engine<T>::~Engine() {
   wait_all();
-  if (bg_enabled_) {
-    wait_background_tunes();  // every queued re-tune lands before the flush
-    {
-      acs::MutexLock lock(bg_m_);
-      bg_stop_ = true;
-    }
-    bg_cv_.notify_all();
-    bg_thread_.join();
-  }
-  if (!config_.tune_cache_path.empty()) (void)flush_tune_cache();
   {
     acs::MutexLock lock(m_);
     stop_ = true;
   }
   work_cv_.notify_all();
   for (auto& t : workers_) t.join();
-}
-
-template <class T>
-void Engine<T>::load_persisted_tunes() {
-  if (config_.tune_cache_path.empty() || !config_.use_plan_cache) return;
-  std::vector<TuneCacheEntry> entries;
-  const TuneCacheLoad status =
-      load_tune_cache(config_.tune_cache_path,
-                      tune::options_hash(config_.tuner), entries);
-  if (status != TuneCacheLoad::kLoaded) return;  // any failure = cold start
-  // The snapshot was saved MRU-first; seeding back-to-front restores the
-  // recency order of the writing engine.
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    SpgemmPlan plan;
-    plan.tuned = it->tuned;
-    plan.measured_products = it->measured_products;
-    plan.feedback_runs = 1;  // persisted decisions are final — no re-tune
-    cache_.store(it->key, std::move(plan));
-  }
-  acs::MutexLock lock(m_);  // uncontended (constructor), held for the proof
-  stats_.cache_loads = entries.size();
-}
-
-template <class T>
-bool Engine<T>::flush_tune_cache() {
-  if (config_.tune_cache_path.empty()) return false;
-  const auto plans = cache_.tuned_entries();
-  std::vector<TuneCacheEntry> entries;
-  entries.reserve(plans.size());
-  for (const auto& p : plans)
-    entries.push_back(TuneCacheEntry{p.key, p.tuned, p.measured_products});
-  return save_tune_cache(config_.tune_cache_path,
-                         tune::options_hash(config_.tuner), entries);
-}
-
-template <class T>
-void Engine<T>::wait_background_tunes() {
-  if (!bg_enabled_) return;
-  acs::MutexLock lock(bg_m_);
-  ++bg_drainers_;  // overrides the low-priority deferral below
-  bg_cv_.notify_all();
-  while (!bg_queue_.empty() || bg_busy_) bg_idle_cv_.wait(lock);
-  --bg_drainers_;
-}
-
-/// How long a queued re-tune may be deferred while foreground jobs keep
-/// the workers busy. Long enough that a burst of cold submissions runs
-/// uncontended (the whole point of the background path), short enough that
-/// sustained saturation cannot starve refinement indefinitely.
-constexpr std::chrono::milliseconds kBgTuneMaxDeferral{250};
-/// Deferral re-check period — bounds how stale the idleness/age predicates
-/// can get when no completion notification arrives.
-constexpr std::chrono::milliseconds kBgTunePoll{20};
-
-template <class T>
-void Engine<T>::bg_loop() {
-  const tune::AutoTuner tuner(config_.tuner);
-  for (;;) {
-    BgTune task;
-    {
-      acs::MutexLock lock(bg_m_);
-      // Low-priority by deferral: while foreground jobs are in flight the
-      // re-tune waits (the predictor-chosen plan keeps serving) until the
-      // engine goes idle, the task ages past kBgTuneMaxDeferral, or a
-      // drain (wait_background_tunes, shutdown) demands completion.
-      for (;;) {
-        if (bg_stop_ || (!bg_queue_.empty() &&
-                         (bg_drainers_ > 0 || foreground_idle() ||
-                          std::chrono::steady_clock::now() -
-                                  bg_queue_.front().enqueued >=
-                              kBgTuneMaxDeferral)))
-          break;
-        bg_cv_.wait_for(lock, kBgTunePoll);
-      }
-      if (bg_queue_.empty()) return;  // bg_stop_ set and queue drained
-      task = std::move(bg_queue_.front());
-      bg_queue_.pop_front();
-      bg_busy_ = true;
-    }
-    try {
-      // Full-fidelity re-rank: whole grid, simulated-execution pricing
-      // under the configured objective, full feature sampling, exact
-      // measured product count — exactly what the inline feedback pass
-      // would have computed, off the job's critical path.
-      const auto feats = tune::extract_features(
-          task.job->a, task.job->b, config_.tuner.sample_stride,
-          config_.tuner.min_samples);
-      const TunedParams refined =
-          tuner.choose(feats, task.base, sizeof(T),
-                       static_cast<double>(task.measured_products));
-      if (refined.valid)
-        cache_.upgrade_tuned(task.key, refined, task.measured_products);
-    } catch (...) {
-      // A failed re-tune (allocation pressure) just leaves the cold
-      // decision in place; the engine keeps serving it.
-    }
-    {
-      acs::MutexLock lock(m_);
-      ++stats_.bg_tunes;
-    }
-    {
-      acs::MutexLock lock(bg_m_);
-      bg_busy_ = false;
-      task.job.reset();  // release the operands before waking waiters
-      if (bg_queue_.empty()) bg_idle_cv_.notify_all();
-    }
-  }
 }
 
 template <class T>
@@ -181,9 +51,9 @@ JobHandle<T> Engine<T>::submit(
     Csr<T> a, Csr<T> b, Config cfg,
     std::function<void(JobResult<T>&)> on_complete) {
   // The engine's backend is overlaid at submission, so everything
-  // downstream — tuning bases, pool estimates, background re-tunes — sees
-  // the device the job actually runs on. Under the default arch this is
-  // the identity and the submitted Config runs verbatim.
+  // downstream — pool estimates, load balancing — sees the device the job
+  // actually runs on. Under the default arch this is the identity and the
+  // submitted Config runs verbatim.
   apply_arch(cfg, config_);
   auto state = std::make_shared<detail::JobState<T>>();
   state->a = std::move(a);
@@ -234,13 +104,7 @@ EngineStats Engine<T>::stats() const {
 template <class T>
 trace::MetricsSnapshot Engine<T>::metrics() const {
   acs::MutexLock lock(m_);
-  trace::MetricsSnapshot out = metrics_;
-  // Tuning-lifecycle counters are engine-level facts, not per-job trace
-  // sums; overlay them the way Server::metrics overlays serve_* traffic.
-  out.counters.cold_tunes = stats_.cold_tunes;
-  out.counters.bg_tunes = stats_.bg_tunes;
-  out.counters.cache_loads = stats_.cache_loads;
-  return out;
+  return metrics_;
 }
 
 template <class T>
@@ -256,7 +120,7 @@ void Engine<T>::work_loop() {
       queue_.pop_front();
     }
     try {
-      run_job(job, ctx);
+      run_job(*job, ctx);
     } catch (...) {
       // run_job failed outside its own handler (e.g. an allocation while
       // publishing the result). Fail this job only — never the worker: an
@@ -283,32 +147,15 @@ void Engine<T>::work_loop() {
       }
       job->complete(std::move(failed), e);
     }
-    bool idle = false;
-    {
-      acs::MutexLock lock(m_);
-      if (--in_flight_ == 0) {
-        idle_cv_.notify_all();
-        idle = true;
-      }
-    }
-    // The background tuner defers while work is in flight; tell it the
-    // engine just went idle so deferred re-tunes start immediately. Probe
-    // bg_enabled_, not bg_thread_.joinable(): the destructor may already
-    // be joining bg_thread_ once in_flight_ hit zero, and joinable() on a
-    // thread object being joined concurrently is a data race.
-    if (idle && bg_enabled_) bg_cv_.notify_all();
+    acs::MutexLock lock(m_);
+    if (--in_flight_ == 0) idle_cv_.notify_all();
   }
 }
 
 template <class T>
-void Engine<T>::run_job(const std::shared_ptr<detail::JobState<T>>& jobp,
-                        WorkerContext& ctx) {
-  detail::JobState<T>& job = *jobp;
+void Engine<T>::run_job(detail::JobState<T>& job, WorkerContext& ctx) {
   JobResult<T> result;
   std::exception_ptr error;
-  bool cold_tuned = false;
-  bool schedule_bg = false;
-  BgTune bg;
   bool leased = false;
   typename PoolArena::Lease lease;
   // One session per job so its counters are the job's alone; a session the
@@ -332,43 +179,9 @@ void Engine<T>::run_job(const std::shared_ptr<detail::JobState<T>>& jobp,
     SpgemmPlan plan;
     const bool hit = config_.use_plan_cache && cache_.lookup(key, plan);
 
-    // Auto-tuning (src/tune): decide once per structure fingerprint, replay
-    // from the cached plan afterwards. The choice is a pure function of
-    // structure, so a cache miss recomputes the identical overlay. Cold
-    // decisions go through the predictor-only budgeted ranking — no
-    // simulated execution on the first job of a structure; the feedback
-    // pass (inline or background) restores full-fidelity pricing later.
-    const bool tuning_on = config_.tuning != tune::TuningMode::kOff;
-    const tune::AutoTuner tuner(config_.tuner);
-    if (tuning_on && !plan.tuned.valid) {
-      std::size_t stride = config_.tuner.sample_stride;
-      std::size_t min_samples = config_.tuner.min_samples;
-      if (const std::size_t cap = config_.cold_tune_feature_samples; cap > 0) {
-        // Cap the cold sample count: lower the floor to the cap, then raise
-        // the stride so ~cap entries of A are inspected (extract_features
-        // clamps the stride back down only to nnz / min_samples).
-        min_samples = std::min(min_samples, cap);
-        const auto nnz = static_cast<std::size_t>(
-            std::max<offset_t>(job.a.nnz(), 0));
-        stride = std::max(stride, nnz / cap);
-      }
-      const auto feats = tune::extract_features(job.a, job.b, stride,
-                                                min_samples);
-      plan.tuned = tuner.choose_budgeted(
-          feats, job.cfg, sizeof(T), config_.cold_tune_candidate_budget,
-          plan.measured_products > 0
-              ? static_cast<double>(plan.measured_products)
-              : 0.0);
-      cold_tuned = true;
-      ACS_TRACE_COUNT(job.cfg.trace, cold_tunes, 1);
-    }
-    Config cfg = job.cfg;  // job.cfg stays as submitted, for reporting
-    plan.tuned.apply(cfg);
-    result.tuned = plan.tuned;
-
     std::size_t want = plan.pool_bytes
                            ? plan.pool_bytes
-                           : estimate_chunk_pool_bytes(job.a, job.b, cfg);
+                           : estimate_chunk_pool_bytes(job.a, job.b, job.cfg);
     if (config_.use_pool_arena) {
       lease = arena_.acquire(want);
       leased = true;
@@ -376,13 +189,14 @@ void Engine<T>::run_job(const std::shared_ptr<detail::JobState<T>>& jobp,
     }
     plan.pool_bytes = want;
 
-    if (!ctx.scheduler || ctx.scheduler_threads != cfg.scheduler_threads) {
+    if (!ctx.scheduler ||
+        ctx.scheduler_threads != job.cfg.scheduler_threads) {
       ctx.scheduler =
-          std::make_unique<sim::BlockScheduler>(cfg.scheduler_threads);
-      ctx.scheduler_threads = cfg.scheduler_threads;
+          std::make_unique<sim::BlockScheduler>(job.cfg.scheduler_threads);
+      ctx.scheduler_threads = job.cfg.scheduler_threads;
     }
 
-    result.c = multiply_planned(job.a, job.b, cfg, plan, &result.stats,
+    result.c = multiply_planned(job.a, job.b, job.cfg, plan, &result.stats,
                                 ctx.scheduler.get());
     result.plan_hit = hit;
     result.pool_reused_bytes = lease.reused_bytes;
@@ -398,53 +212,7 @@ void Engine<T>::run_job(const std::shared_ptr<detail::JobState<T>>& jobp,
       leased = false;
     }
 
-    // Feedback refinement: once per fingerprint, swap the sampled product
-    // estimate for the exact measured count and re-rank. The measurement is
-    // structural (identical for every job sharing the fingerprint), so the
-    // refined choice is deterministic and stable — feedback_runs stays at 1.
-    // Under background_retune the re-rank leaves the critical path: the
-    // tuner thread computes the identical refinement later and swaps it
-    // into the cache via PlanCache::upgrade_tuned.
-    if (config_.tuning == tune::TuningMode::kFeedback &&
-        plan.feedback_runs == 0) {
-      plan.measured_products = result.stats.intermediate_products;
-      if (config_.background_retune && config_.use_plan_cache) {
-        plan.feedback_runs = 1;  // scheduled — later jobs must not re-queue
-        bg.key = key;
-        bg.job = jobp;
-        bg.base = job.cfg;
-        bg.base.trace = nullptr;        // engine-injected, job-scoped
-        bg.base.alloc_policy = nullptr;  // ditto — and never a tuning input
-        bg.measured_products = plan.measured_products;
-        bg.enqueued = std::chrono::steady_clock::now();
-        schedule_bg = true;
-      } else {
-        const auto feats =
-            tune::extract_features(job.a, job.b, config_.tuner.sample_stride,
-                                   config_.tuner.min_samples);
-        TunedParams refined =
-            tuner.choose(feats, job.cfg, sizeof(T),
-                         static_cast<double>(plan.measured_products));
-        if (refined.valid && !(refined == plan.tuned)) {
-          // The stored load-balancing table and learned pool size were built
-          // for the superseded parameters; drop them so the next run rebuilds
-          // and re-learns under the refined overlay.
-          plan.tuned = refined;
-          plan.block_row_starts.clear();
-          plan.pool_bytes = 0;
-          plan.observed_pool_used = 0;
-        }
-        plan.feedback_runs = 1;
-      }
-    }
     if (config_.use_plan_cache) cache_.store(key, std::move(plan));
-    if (schedule_bg) {
-      {
-        acs::MutexLock lock(bg_m_);
-        bg_queue_.push_back(std::move(bg));
-      }
-      bg_cv_.notify_one();
-    }
   } catch (...) {
     error = std::current_exception();
     if (leased) arena_.release(lease.bytes);
@@ -456,7 +224,6 @@ void Engine<T>::run_job(const std::shared_ptr<detail::JobState<T>>& jobp,
     acs::MutexLock lock(m_);
     ++stats_.jobs_completed;
     if (error) ++stats_.jobs_failed;
-    if (cold_tuned && !error) ++stats_.cold_tunes;
     stats_.restarts += static_cast<std::size_t>(
         std::max(0, result.stats.restarts));
     if (!error) metrics_ += result.metrics;

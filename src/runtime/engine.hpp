@@ -25,13 +25,11 @@
 ///   double rate = engine.plan_counters().hit_rate();
 /// \endcode
 
-#include <chrono>
 #include <cstddef>
 #include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -44,7 +42,6 @@
 #include "runtime/pool_arena.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
-#include "tune/tuner.hpp"
 
 namespace acs::runtime {
 
@@ -63,11 +60,8 @@ struct EngineConfig {
   /// default `kSimTitanXp` leaves each submitted Config untouched — bit-
   /// and cost-model-compatible with the pre-arch engine. Any other arch is
   /// overlaid on the Config at submission (`apply_arch`): its device
-  /// constants and execution kind replace the Config's, the plan cache and
-  /// the persistent tune cache are keyed by the arch so plans never replay
-  /// across backends, and a `tuner` left at the stock grids is seeded from
-  /// `tune::default_tuner_options(arch)` (SimBigDevice widens the
-  /// nnz_per_block grid to what its 96 KiB scratchpad admits).
+  /// constants and execution kind replace the Config's, and the plan cache
+  /// is keyed by the arch so plans never replay across backends.
   arch::ArchId arch = arch::ArchId::kSimTitanXp;
   /// Host threads driving each job's blocks under `ArchId::kNativeCpu`
   /// (applied as `Config::scheduler_threads`); 0 = one per hardware
@@ -91,54 +85,6 @@ struct EngineConfig {
   /// determinism contract extends to injected exhaustion).
   std::function<std::unique_ptr<AllocationPolicy>(std::size_t)>
       make_alloc_policy;
-  /// Per-job parameter auto-tuning (src/tune). `kOff` (default) runs every
-  /// job with its submitted Config verbatim. `kStaticCostModel` extracts
-  /// structural features on the first job of each structure fingerprint,
-  /// ranks the tuner's candidate grid through the sim cost model, stores
-  /// the winner on the plan (`SpgemmPlan::tuned`) and replays it for free
-  /// on every cache hit. `kFeedback` additionally re-ranks once per
-  /// fingerprint after the first run, substituting the exact measured
-  /// product count (`SpgemmStats::intermediate_products`) for the sampled
-  /// estimate; the refined choice is stable from then on. Tuning decisions
-  /// are pure functions of sparsity structure, so with `kStaticCostModel`
-  /// the engine's determinism contract is untouched; under `kFeedback` the
-  /// first run of a fingerprint may use different parameters than later
-  /// runs, which can shift last-bit float association (DESIGN.md §9).
-  /// Without the plan cache, tuning still works but re-ranks every job.
-  tune::TuningMode tuning = tune::TuningMode::kOff;
-  /// Candidate grids + feature sampling used when `tuning` != kOff.
-  tune::TunerOptions tuner;
-  /// Cold-tune candidate budget: at most this many feasible candidates are
-  /// priced when a structure fingerprint is tuned for the first time
-  /// (predictor-only ranking, `AutoTuner::rank_budgeted`); 0 = price the
-  /// whole grid. The cold choose never runs the simulated-execution cost
-  /// model either way — with the default kThroughput objective the
-  /// unbudgeted cold pick is identical to the full ranking's, just without
-  /// the O(blocks) makespan pricing per candidate.
-  std::size_t cold_tune_candidate_budget = 0;
-  /// Cold-tune feature budget: caps the A-entries sampled by the cold
-  /// feature extraction (stride is raised and `tuner.min_samples` lowered
-  /// to meet it); 0 = use `tuner` sampling verbatim. Background re-tunes
-  /// and the sync feedback pass always use the full `tuner` sampling.
-  std::size_t cold_tune_feature_samples = 0;
-  /// Run the kFeedback re-ranking on a background thread instead of inline:
-  /// the first job of a fingerprint returns after the predictor-only cold
-  /// tune, and a low-priority tuner thread later swaps the measured-count
-  /// refinement into the plan cache atomically (`PlanCache::upgrade_tuned`).
-  /// Low-priority is real: queued re-tunes defer while foreground jobs are
-  /// in flight (bounded — a saturated engine still refines within ~250 ms)
-  /// so cold bursts never contend with the tuner for cores.
-  /// Jobs in flight during the swap keep the engine's bit-identical output
-  /// contract — tuned parameters only regroup work. No effect unless
-  /// `tuning == kFeedback`.
-  bool background_retune = false;
-  /// When non-empty, tuned parameters persist across processes: the
-  /// constructor loads this file (runtime/tune_persist.hpp) and seeds the
-  /// plan cache with every verified entry, and the destructor (or an
-  /// explicit `flush_tune_cache()`) writes the current tuned plans back.
-  /// A missing, corrupt, or incompatibly-tuned file loads as a clean cold
-  /// start. Requires `use_plan_cache`.
-  std::string tune_cache_path;
 };
 
 /// Overlay `ecfg`'s backend onto a job Config: the identity for the
@@ -158,13 +104,6 @@ struct EngineStats {
   std::size_t jobs_completed = 0;  ///< includes failed jobs
   std::size_t jobs_failed = 0;
   std::size_t restarts = 0;        ///< summed over completed jobs
-  /// Predictor-only cold tunes run (first sight of a structure fingerprint
-  /// with no persisted/cached decision).
-  std::size_t cold_tunes = 0;
-  /// Background re-tunes completed by the tuner thread.
-  std::size_t bg_tunes = 0;
-  /// Tuned plans seeded from the persistent tune cache at construction.
-  std::size_t cache_loads = 0;
 };
 
 template <class T>
@@ -173,9 +112,6 @@ struct JobResult {
   SpgemmStats stats;
   bool plan_hit = false;             ///< plan served from the cache
   std::size_t pool_reused_bytes = 0; ///< pool request covered by the arena
-  /// Parameter overlay this run executed with (invalid when tuning was off
-  /// or no feasible candidate existed — the job then ran its Config as-is).
-  TunedParams tuned;
   /// Per-job metrics snapshot (always filled on success; stage times come
   /// from `stats`, the trace counter block from `trace` when attached).
   trace::MetricsSnapshot metrics;
@@ -307,18 +243,6 @@ class Engine {
   /// Block until every submitted job has completed.
   void wait_all() ACS_EXCLUDES(m_);
 
-  /// Block until the background tuner thread has drained its queue (no-op
-  /// when `EngineConfig::background_retune` is off). Jobs submitted while
-  /// waiting may enqueue further re-tunes; call after `wait_all()` for a
-  /// quiescent engine.
-  void wait_background_tunes() ACS_EXCLUDES(bg_m_);
-
-  /// Write every tuned cached plan to `EngineConfig::tune_cache_path` now
-  /// (the destructor does this automatically). Returns false when no path
-  /// is configured or the write failed; the previous file survives a failed
-  /// write intact.
-  bool flush_tune_cache();
-
   [[nodiscard]] EngineStats stats() const ACS_EXCLUDES(m_);
   /// Rolling metrics aggregated over every successfully completed job
   /// (stage sim-time totals, restarts, pool high-water marks, trace
@@ -353,33 +277,9 @@ class Engine {
     unsigned scheduler_threads = 0;
   };
 
-  /// One queued background re-tune. Holds the job state (keeping the
-  /// operand matrices alive without copying) and a cleaned base Config —
-  /// the submitted numeric parameters, with the engine-injected trace /
-  /// fault-policy pointers stripped (they may dangle after the job ran and
-  /// a tuning decision must not depend on them anyway).
-  struct BgTune {
-    Fingerprint key;
-    std::shared_ptr<detail::JobState<T>> job;
-    Config base;
-    offset_t measured_products = 0;
-    /// When the task was queued — bounds how long deferral may hold it.
-    std::chrono::steady_clock::time_point enqueued;
-  };
-
-  /// True when no submitted job is queued or executing. The background
-  /// tuner polls this to stay off the foreground's critical path (holding
-  /// bg_m_ — the one sanctioned bg_m_ -> m_ nesting, lock_order.toml).
-  [[nodiscard]] bool foreground_idle() const ACS_EXCLUDES(m_) {
-    acs::MutexLock lock(m_);
-    return in_flight_ == 0;
-  }
-
-  void work_loop() ACS_EXCLUDES(m_, bg_m_);
-  void run_job(const std::shared_ptr<detail::JobState<T>>& job,
-               WorkerContext& ctx) ACS_EXCLUDES(m_, bg_m_);
-  void bg_loop() ACS_EXCLUDES(bg_m_, m_);
-  void load_persisted_tunes() ACS_EXCLUDES(m_);
+  void work_loop() ACS_EXCLUDES(m_);
+  void run_job(detail::JobState<T>& job, WorkerContext& ctx)
+      ACS_EXCLUDES(m_);
 
   EngineConfig config_;
   PlanCache cache_;
@@ -393,21 +293,6 @@ class Engine {
   bool stop_ ACS_GUARDED_BY(m_) = false;
   EngineStats stats_ ACS_GUARDED_BY(m_);
   trace::MetricsSnapshot metrics_ ACS_GUARDED_BY(m_);
-
-  acs::Mutex bg_m_;
-  acs::CondVar bg_cv_;       ///< wakes the tuner thread
-  acs::CondVar bg_idle_cv_;  ///< wakes wait_background_tunes
-  std::deque<BgTune> bg_queue_ ACS_GUARDED_BY(bg_m_);
-  bool bg_busy_ ACS_GUARDED_BY(bg_m_) = false;  ///< tuner holds a task
-  bool bg_stop_ ACS_GUARDED_BY(bg_m_) = false;
-  /// Callers inside wait_background_tunes(); a positive count overrides
-  /// the low-priority deferral so drains finish promptly.
-  int bg_drainers_ ACS_GUARDED_BY(bg_m_) = 0;
-  /// Background tuning requested and active. Const after construction:
-  /// workers read it to nudge the tuner on idle, and probing bg_thread_
-  /// instead would race the destructor's join() (see the work_loop note).
-  bool bg_enabled_ = false;
-  std::thread bg_thread_;  ///< joinable only when bg_enabled_
 
   std::vector<std::thread> workers_;
 };

@@ -27,8 +27,9 @@ struct Fingerprint {
   offset_t nnz_b = 0;
   /// Backend the plan was built for (`arch::ArchId` value). Plans are
   /// arch-specific — load balancing is structural, but learned pool sizes
-  /// and tuned overlays are chosen under one device's constants and grid —
-  /// so two engines on different backends must never share an entry.
+  /// are learned on one device's constants (and the server's tuned
+  /// overlays chosen under one arch's grid) — so two engines on different
+  /// backends must never share an entry.
   /// 0 (kSimTitanXp) keeps pre-arch fingerprints stable.
   std::uint32_t arch = 0;
 
@@ -62,8 +63,8 @@ Fingerprint fingerprint(const Csr<T>& a, const Csr<T>& b) {
 }
 
 /// Fingerprint of the job C = A·B executed on backend `id`. The engine
-/// keys its plan cache (and the persistent tune cache) with this overload,
-/// so the same structure tuned under two archs occupies two entries.
+/// keys its plan cache and the server its per-structure tune with this
+/// overload, so the same structure under two archs occupies two entries.
 template <class T>
 Fingerprint fingerprint(const Csr<T>& a, const Csr<T>& b, arch::ArchId id) {
   Fingerprint f = fingerprint(a, b);

@@ -21,25 +21,8 @@ bool PlanCache::lookup(const Fingerprint& key, SpgemmPlan& plan) {
   return true;
 }
 
-void PlanCache::apply_upgrade_locked(SpgemmPlan& plan, const Upgrade& up) {
-  if (!(plan.tuned == up.tuned)) {
-    // The load-balancing table and learned pool size were built for the
-    // superseded overlay; the next run rebuilds and re-learns.
-    plan.tuned = up.tuned;
-    plan.block_row_starts.clear();
-    plan.pool_bytes = 0;
-    plan.observed_pool_used = 0;
-  }
-  plan.measured_products = up.measured_products;
-  plan.feedback_runs = std::max<std::uint32_t>(plan.feedback_runs, 1);
-}
-
 void PlanCache::store(const Fingerprint& key, SpgemmPlan plan) {
   acs::MutexLock lock(m_);
-  // A recorded upgrade outranks whatever tune state the caller carries:
-  // the plan may have been looked up before the re-tune landed.
-  if (const auto up = upgrades_.find(key); up != upgrades_.end())
-    apply_upgrade_locked(plan, up->second);
   if (const auto it = index_.find(key); it != index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
     it->second->plan = std::move(plan);
@@ -50,33 +33,10 @@ void PlanCache::store(const Fingerprint& key, SpgemmPlan plan) {
   index_.emplace(key, lru_.begin());
   ++counters_.insertions;
   while (lru_.size() > capacity_) {
-    upgrades_.erase(lru_.back().key);
     index_.erase(lru_.back().key);
     lru_.pop_back();
     ++counters_.evictions;
   }
-}
-
-bool PlanCache::upgrade_tuned(const Fingerprint& key,
-                              const TunedParams& refined,
-                              offset_t measured_products) {
-  acs::MutexLock lock(m_);
-  const Upgrade up{refined, measured_products};
-  upgrades_[key] = up;
-  const auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  apply_upgrade_locked(it->second->plan, up);
-  return true;
-}
-
-std::vector<PlanCache::TunedEntry> PlanCache::tuned_entries() const {
-  acs::MutexLock lock(m_);
-  std::vector<TunedEntry> out;
-  out.reserve(lru_.size());
-  for (const Entry& e : lru_)
-    if (e.plan.tuned.valid)
-      out.push_back(TunedEntry{e.key, e.plan.tuned, e.plan.measured_products});
-  return out;
 }
 
 PlanCache::Counters PlanCache::counters() const {
@@ -93,7 +53,6 @@ void PlanCache::clear() {
   acs::MutexLock lock(m_);
   lru_.clear();
   index_.clear();
-  upgrades_.clear();
   counters_ = Counters{};
 }
 

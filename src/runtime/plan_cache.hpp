@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <list>
 #include <unordered_map>
-#include <vector>
 
 #include "core/plan.hpp"
 #include "core/thread_annotations.hpp"
@@ -30,23 +29,8 @@ class PlanCache {
   bool lookup(const Fingerprint& key, SpgemmPlan& plan) ACS_EXCLUDES(m_);
 
   /// Insert or refresh the plan for `key` (moves `plan` in), evicting the
-  /// least-recently-used entry beyond capacity. A tuned upgrade recorded by
-  /// `upgrade_tuned` always wins over the incoming plan's tune state: a
-  /// worker that looked its plan up before the background re-tune landed
-  /// cannot clobber the refined overlay when it stores the plan back.
+  /// least-recently-used entry beyond capacity.
   void store(const Fingerprint& key, SpgemmPlan plan) ACS_EXCLUDES(m_);
-
-  /// Atomically swap the refined overlay chosen by a background re-tune
-  /// into the cached plan for `key` (and remember it, so in-flight stale
-  /// stores re-apply it — see `store`). When the overlay differs from the
-  /// cached one, the stored load-balancing table and learned pool size are
-  /// dropped (they were built for the superseded parameters); either way
-  /// the entry's `measured_products` is updated and `feedback_runs` raised
-  /// to 1 so no further refinement is scheduled. LRU order is untouched —
-  /// an upgrade is maintenance, not a use. Returns false when `key` is not
-  /// cached (the upgrade is still remembered for stale stores).
-  bool upgrade_tuned(const Fingerprint& key, const TunedParams& refined,
-                     offset_t measured_products) ACS_EXCLUDES(m_);
 
   struct Counters {
     std::size_t hits = 0;
@@ -67,31 +51,11 @@ class PlanCache {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   void clear() ACS_EXCLUDES(m_);
 
-  /// Every cached plan whose tuner overlay is valid, as persistable
-  /// records (runtime/tune_persist.hpp consumes this shape). Snapshot
-  /// order is MRU-first — deterministic for a deterministic access
-  /// history.
-  struct TunedEntry {
-    Fingerprint key;
-    TunedParams tuned;
-    offset_t measured_products = 0;
-  };
-  [[nodiscard]] std::vector<TunedEntry> tuned_entries() const ACS_EXCLUDES(m_);
-
  private:
   struct Entry {
     Fingerprint key;
     SpgemmPlan plan;
   };
-
-  struct Upgrade {
-    TunedParams tuned;
-    offset_t measured_products = 0;
-  };
-
-  /// Overwrite `plan`'s tune state with `up`'s, invalidating the derived
-  /// tables when the overlay actually changes. Caller holds m_.
-  static void apply_upgrade_locked(SpgemmPlan& plan, const Upgrade& up);
 
   mutable acs::Mutex m_;
   std::size_t capacity_;  ///< const after construction
@@ -99,10 +63,6 @@ class PlanCache {
   std::list<Entry> lru_ ACS_GUARDED_BY(m_);
   std::unordered_map<Fingerprint, std::list<Entry>::iterator, FingerprintHash>
       index_ ACS_GUARDED_BY(m_);
-  /// Background re-tune results, kept until their entry is evicted so a
-  /// stale in-flight store cannot roll the refined overlay back.
-  std::unordered_map<Fingerprint, Upgrade, FingerprintHash> upgrades_
-      ACS_GUARDED_BY(m_);
   Counters counters_ ACS_GUARDED_BY(m_);
 };
 

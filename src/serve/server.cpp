@@ -26,8 +26,9 @@ Server<T>::Server(ServerConfig config)
     : cfg_(std::move(config)),
       admission_(cfg_.admission),
       drr_(cfg_.drr_quantum_s) {
-  // Same per-arch tuner-grid seeding as the engine (which runs with tuning
-  // off under a server — the server's grid must widen instead).
+  // Per-arch tuner grids: a tuner left at the stock nnz_per_block grid
+  // picks up the arch's default (SimBigDevice extends it upward). An
+  // explicitly customized grid wins.
   if (cfg_.tuner.nnz_per_block == tune::TunerOptions{}.nnz_per_block)
     cfg_.tuner.nnz_per_block =
         tune::default_tuner_options(cfg_.engine.arch).nnz_per_block;
@@ -37,25 +38,13 @@ Server<T>::Server(ServerConfig config)
   // Pre-register configured tenants in listed order (part of the
   // deterministic DRR visiting order); unknown tenants join on first use.
   for (const TenantConfig& tc : cfg_.tenants) (void)ensure_tenant_locked(tc.name);
-  runtime::EngineConfig ecfg = cfg_.engine;
-  // The server owns tuning: it must know the exact overlay each job ran
-  // with (ServeResult::tuned_applied) to keep results reconstructible by a
-  // direct multiply, so the engine must not re-tune underneath it.
-  ecfg.tuning = tune::TuningMode::kOff;
-  engine_ = std::make_unique<runtime::Engine<T>>(ecfg);
+  engine_ = std::make_unique<runtime::Engine<T>>(cfg_.engine);
   max_outstanding_ = engine_->workers() + cfg_.dispatch_slack;
-  if (cfg_.tuning) tuner_thread_ = std::thread([this] { tune_loop(); });
 }
 
 template <class T>
 Server<T>::~Server() {
   drain();
-  {
-    acs::MutexLock lock(tune_m_);
-    tune_stop_ = true;
-  }
-  tune_cv_.notify_all();
-  if (tuner_thread_.joinable()) tuner_thread_.join();
   // engine_ is declared last, so it is destroyed first — and after drain()
   // it holds no job whose callback could touch the members dying after it.
 }
@@ -108,37 +97,24 @@ ServeHandle<T> Server<T>::submit(Csr<T> a, Csr<T> b, SubmitInfo info,
   // costs one evaluation per submission.
   const runtime::Fingerprint fp = runtime::fingerprint(a, b, cfg_.engine.arch);
   PredictionEntry& pe = predictions_[fp];
-  if (!pe.have_features) {
+  const bool first_sight = !pe.have_features;
+  if (first_sight) {
     pe.features = tune::extract_features(a, b, cfg_.tuner.sample_stride,
                                          cfg_.tuner.min_samples);
     pe.have_features = true;
+    pe.tune_ready_s = arrival + cfg_.tune_latency_s;
+    pe.tune_base = cfg;
   }
 
-  // Graceful degradation, modeled in virtual time so the flag is a pure
-  // function of the trace: the first submission of a fingerprint requests
-  // an asynchronous tune and always runs degraded; later submissions run
-  // degraded while the modeled tune latency has not elapsed.
-  bool degraded = false;
-  if (cfg_.tuning) {
-    if (!pe.tune_requested) {
-      pe.tune_requested = true;
-      pe.tune_ready_s = arrival + cfg_.tune_latency_s;
-      pe.tune_base = cfg;
-      degraded = true;
-      {
-        acs::MutexLock tlock(tune_m_);
-        tune_queue_.push_back(TuneTask{fp, pe.features, cfg});
-      }
-      tune_cv_.notify_one();
-    } else {
-      degraded = arrival < pe.tune_ready_s;
-    }
-  }
+  // Degradation, modeled in virtual time so the flag is a pure function of
+  // the trace: the first submission of a fingerprint always counts as
+  // degraded, later ones while the modeled tune latency has not elapsed.
+  const bool degraded =
+      cfg_.tuning && (first_sight || arrival < pe.tune_ready_s);
 
   // Admission costs are always predicted under the *submitted* Config, not
-  // the tuned one — the tuned overlay may not be decided yet, and pricing
-  // must not depend on tuner progress. Tuning only makes jobs cheaper than
-  // their admission price, which errs on the safe side for deadlines.
+  // the tuned one — the overlay is only decided at the fingerprint's first
+  // dispatch, after admission.
   const double raw_cost = tune::predict_makespan_s(pe.features, cfg, sizeof(T));
   const double scaled_cost = std::max(0.0, raw_cost) *
                              std::max(1.0, cfg_.admission.deadline_safety);
@@ -212,7 +188,9 @@ ServeHandle<T> Server<T>::submit(Csr<T> a, Csr<T> b, SubmitInfo info,
   drr_.enqueue(tidx, QueuedJob{rec.id, rec.cost_s, info.priority, arrival});
   queued_jobs_.emplace(rec.id, std::move(rec));
 
-  const std::size_t depth = drr_.queued_jobs() + ready_.size();
+  // Virtual-timeline depth only: the real ready list drains at the
+  // engine's pace, which would make the peak depend on worker count.
+  const std::size_t depth = drr_.queued_jobs();
   if (depth > totals_.queue_depth_peak) totals_.queue_depth_peak = depth;
   ACS_TRACE_GAUGE_MAX(cfg_.trace, serve_queue_depth_peak, depth);
 
@@ -346,15 +324,8 @@ void Server<T>::pump_locked() {
     JobRec rec = std::move(ready_.front());
     ready_.pop_front();
 
-    TunedParams tuned;
-    if (cfg_.tuning) {
-      // Warm dispatches run the full tuned overlay; degraded ones the
-      // budgeted predictor-only cold overlay — the modeled tune latency is
-      // the window in which the cheap decision substitutes for the full
-      // one, exactly the engine's cold-path mechanism.
-      tuned = rec.degraded ? ensure_cold_tuned_locked(rec.fp, rec.cfg)
-                           : ensure_tuned_locked(rec.fp, rec.cfg);
-    }
+    const TunedParams tuned =
+        cfg_.tuning ? ensure_tuned_locked(rec.fp) : TunedParams{};
     Config eff = rec.cfg;
     tuned.apply(eff);
 
@@ -396,61 +367,17 @@ void Server<T>::pump_locked() {
 }
 
 template <class T>
-TunedParams Server<T>::ensure_tuned_locked(const runtime::Fingerprint& fp,
-                                           const Config& base) {
+TunedParams Server<T>::ensure_tuned_locked(const runtime::Fingerprint& fp) {
   PredictionEntry& pe = predictions_[fp];
   if (!pe.tuned_computed) {
-    // The tuner thread has not gotten here yet — rank synchronously.
-    // Tuning is a pure function of (features, first-submitted Config), so
-    // whichever side computes first stores the same overlay.
-    const tune::AutoTuner tuner(cfg_.tuner);
-    pe.tuned = tuner.choose(pe.features,
-                            pe.tune_requested ? pe.tune_base : base,
-                            sizeof(T), 0.0);
+    // A pure function of (features, first-submitted Config): the overlay
+    // does not depend on which dispatch computes it.
+    pe.tuned = tune::AutoTuner(cfg_.tuner).choose(pe.features, pe.tune_base,
+                                                  sizeof(T));
     pe.tuned_computed = true;
+    ++totals_.tunes;
   }
   return pe.tuned;
-}
-
-template <class T>
-TunedParams Server<T>::ensure_cold_tuned_locked(const runtime::Fingerprint& fp,
-                                                const Config& base) {
-  PredictionEntry& pe = predictions_[fp];
-  if (!pe.cold_computed) {
-    const tune::AutoTuner tuner(cfg_.tuner);
-    pe.cold = tuner.choose_budgeted(
-        pe.features, pe.tune_requested ? pe.tune_base : base, sizeof(T),
-        cfg_.engine.cold_tune_candidate_budget, 0.0);
-    pe.cold_computed = true;
-    ++cold_tunes_;
-    ACS_TRACE_COUNT(cfg_.trace, cold_tunes, 1);
-  }
-  return pe.cold;
-}
-
-template <class T>
-void Server<T>::tune_loop() {
-  for (;;) {
-    TuneTask task;
-    {
-      acs::MutexLock lock(tune_m_);
-      while (!tune_stop_ && tune_queue_.empty()) tune_cv_.wait(lock);
-      if (tune_queue_.empty()) return;  // tune_stop_ set and queue drained
-      task = std::move(tune_queue_.front());
-      tune_queue_.pop_front();
-    }
-    const tune::AutoTuner tuner(cfg_.tuner);
-    const TunedParams p =
-        tuner.choose(task.features, task.base, sizeof(T), 0.0);
-    {
-      acs::MutexLock lock(m_);
-      PredictionEntry& pe = predictions_[task.fp];
-      if (!pe.tuned_computed) {
-        pe.tuned = p;
-        pe.tuned_computed = true;
-      }
-    }
-  }
 }
 
 template <class T>
@@ -485,8 +412,6 @@ trace::MetricsSnapshot Server<T>::metrics() const {
   m.counters.serve_degraded = totals_.degraded;
   m.counters.serve_deadline_misses = totals_.deadline_misses;
   m.counters.serve_queue_depth_peak = totals_.queue_depth_peak;
-  // Engine tuning is off under a server; the cold tunes are the server's.
-  m.counters.cold_tunes += cold_tunes_;
   m.serve_tenants.reserve(tenants_.size());
   for (const TenantRuntime& tr : tenants_) {
     trace::TenantServeCounters row;

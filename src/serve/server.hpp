@@ -20,17 +20,15 @@
 ///   - for a fixed arrival trace the full decision stream (and every
 ///     serve counter) is byte-identical regardless of `EngineConfig::workers`;
 ///   - every served result is bit-identical to a direct `acs::multiply`
-///     with the same effective Config (the engine runs with tuning off and
-///     the server applies its own `TunedParams` overlay, reported on
-///     `ServeResult::tuned_applied`).
+///     with the same effective Config (the server applies its own
+///     `TunedParams` overlay, reported on `ServeResult::tuned_applied`).
 ///
-/// Graceful degradation: the first submission of a structure fingerprint
-/// requests an asynchronous tune and is served immediately on the
-/// predictor-only *cold* overlay (`AutoTuner::choose_budgeted` under
-/// `EngineConfig::cold_tune_candidate_budget` — microseconds, no simulated
-/// execution; the `degraded` flag); later submissions run with the full
-/// tuned overlay once the modeled tune latency has elapsed. Both overlays
-/// are pure functions of the trace, so degradation costs no determinism.
+/// Tuning is one inline call: the first dispatch of a structure
+/// fingerprint runs `AutoTuner::choose` (predictor-only, microseconds)
+/// under the server lock, and every job of that fingerprint runs the same
+/// overlay. Submissions inside `ServerConfig::tune_latency_s` of a
+/// fingerprint's first arrival are flagged `degraded` on the virtual
+/// timeline — a modeled-time label that does not change the overlay.
 /// See DESIGN.md §11.
 ///
 /// Example:
@@ -51,7 +49,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -86,9 +83,9 @@ struct TenantConfig {
 };
 
 struct ServerConfig {
-  /// Engine running the admitted jobs. `EngineConfig::tuning` is forced to
-  /// kOff — the server owns tuning (it must know the exact parameter
-  /// overlay per job to keep results reconstructible; see file header).
+  /// Engine running the admitted jobs. It runs each job's Config verbatim;
+  /// the server applies the tuned overlay before submission (see file
+  /// header), so every result stays reconstructible.
   runtime::EngineConfig engine;
   std::vector<TenantConfig> tenants;
   /// Deadline-based admission control (modeled executors, safety factor,
@@ -96,16 +93,17 @@ struct ServerConfig {
   AdmissionConfig admission;
   /// DRR deficit quantum in predicted cost-seconds per round-robin visit.
   double drr_quantum_s = 1e-3;
-  /// Server-side cost-model tuning (kStaticCostModel semantics). Degraded
-  /// submissions (tuned plan still cold) run on the budgeted predictor-only
-  /// overlay, capped by `engine.cold_tune_candidate_budget`; warm ones on
-  /// the full-grid choice. Off: every job runs its submitted Config and
-  /// nothing is ever `degraded`.
+  /// Server-side cost-model tuning: one `AutoTuner::choose` per structure
+  /// fingerprint over the whole `tuner` grid, applied to every job of that
+  /// fingerprint. Off: every job runs its submitted Config and nothing is
+  /// ever `degraded`.
   bool tuning = true;
   tune::TunerOptions tuner;
   /// Modeled virtual latency between the first request of a fingerprint
-  /// and its tuned plan becoming warm. The first submission is always
+  /// and its tune counting as warm. The first submission is always
   /// degraded; later ones are degraded while `arrival < first + latency`.
+  /// A label on the virtual timeline only: degraded and warm jobs run the
+  /// same overlay.
   double tune_latency_s = 0.0;
   /// Ceiling on the modeled chunk-pool bytes of concurrently running jobs
   /// (and on the real dispatch pipeline); 0 = unlimited. A job whose own
@@ -148,14 +146,13 @@ struct ServeResult {
   std::string tenant;
   int priority = 0;
   double arrival_s = 0.0;
-  /// True when the job ran before its fingerprint's full tune was warm —
-  /// served on the budgeted predictor-only cold overlay.
+  /// True when the job arrived inside its fingerprint's modeled tune
+  /// latency (`ServerConfig::tune_latency_s`). Does not change the overlay.
   bool degraded = false;
-  /// Parameter overlay the job actually ran with — the cold budgeted
-  /// choice when `degraded`, the full-grid choice when warm, invalid when
-  /// tuning is off (or no candidate fit the device): apply it to the
-  /// submitted Config to reproduce the run with a direct `acs::multiply`
-  /// bit-identically.
+  /// Parameter overlay the job actually ran with — the fingerprint's
+  /// `AutoTuner::choose` pick, invalid when tuning is off (or no candidate
+  /// fit the device): apply it to the submitted Config to reproduce the run
+  /// with a direct `acs::multiply` bit-identically.
   TunedParams tuned_applied;
   /// Virtual service window on the modeled executors (0 when not served).
   double virtual_start_s = 0.0;
@@ -261,7 +258,7 @@ struct TenantStats {
   std::uint64_t shed = 0;
   std::uint64_t completed = 0;  ///< successfully served
   std::uint64_t failed = 0;
-  std::uint64_t degraded = 0;   ///< admitted on the untuned default plan
+  std::uint64_t degraded = 0;   ///< admitted inside the tune latency
   std::uint64_t deadline_misses = 0;
   /// Predicted cost-seconds virtually dispatched for this tenant — the
   /// fair-share currency (Jain's index over these is the fairness gate).
@@ -278,7 +275,11 @@ struct ServeStats {
   std::uint64_t failed = 0;
   std::uint64_t degraded = 0;
   std::uint64_t deadline_misses = 0;
-  /// Peak admitted-but-not-yet-dispatched jobs (DRR queues + ready list).
+  /// Tuned overlays computed — one per structure fingerprint dispatched
+  /// with tuning on.
+  std::uint64_t tunes = 0;
+  /// Peak admitted jobs waiting in the DRR queues for a modeled executor,
+  /// sampled at each admission (virtual timeline only).
   std::size_t queue_depth_peak = 0;
   std::size_t queued_jobs = 0;    ///< snapshot: awaiting real dispatch
   std::size_t in_flight_jobs = 0; ///< snapshot: running in the engine
@@ -288,7 +289,7 @@ template <class T>
 class Server {
  public:
   explicit Server(ServerConfig config = {});
-  /// Drains every admitted job, then stops the tuner thread and the engine.
+  /// Drains every admitted job, then stops the engine.
   ~Server();
 
   Server(const Server&) = delete;
@@ -314,25 +315,16 @@ class Server {
   [[nodiscard]] const ServerConfig& config() const { return cfg_; }
 
  private:
-  /// Per-fingerprint prediction + tune state (all virtual-time; mutated
-  /// only under m_ in submission order, except `tuned`/`tuned_computed`
-  /// which the tuner thread fills in — never read by a decision).
+  /// Per-fingerprint prediction + tune state, mutated only under m_.
   struct PredictionEntry {
-    bool have_features = false;
+    bool have_features = false;  ///< false until the first submission
     tune::TuneFeatures features;
-    bool tune_requested = false;
     double tune_ready_s = 0.0;  ///< modeled warm time of the tuned plan
     /// Config the tune ranks against (the first submission's), pinned so
-    /// the overlay is a pure function of the trace whichever thread
-    /// computes it first.
+    /// the overlay is a pure function of the trace.
     Config tune_base;
     bool tuned_computed = false;
     TunedParams tuned;
-    /// Budgeted predictor-only overlay served while degraded — computed at
-    /// the first degraded dispatch, a pure function of (features,
-    /// tune_base, candidate budget) like `tuned`.
-    bool cold_computed = false;
-    TunedParams cold;
   };
 
   /// One admitted job between admission and real dispatch.
@@ -359,12 +351,6 @@ class Server {
     TenantStats stats;
   };
 
-  struct TuneTask {
-    runtime::Fingerprint fp;
-    tune::TuneFeatures features;
-    Config base;
-  };
-
   std::size_t ensure_tenant_locked(const std::string& name) ACS_REQUIRES(m_);
   /// Advance the virtual dispatch timeline to `until_s` (inclusive):
   /// modeled executors pick DRR winners, the arena ceiling gates/sheds,
@@ -376,15 +362,10 @@ class Server {
   /// Hand ready jobs to the engine, bounded by workers + dispatch_slack
   /// and by the arena ceiling over real in-flight predicted pool bytes.
   void pump_locked() ACS_REQUIRES(m_);
-  /// Tuned overlay for `fp`, computing synchronously if the tuner thread
-  /// has not gotten to it yet (same deterministic result either way).
-  TunedParams ensure_tuned_locked(const runtime::Fingerprint& fp,
-                                  const Config& base) ACS_REQUIRES(m_);
-  /// Cold overlay for a degraded dispatch of `fp` (predictor-only budgeted
-  /// ranking; computed once per fingerprint, deterministic).
-  TunedParams ensure_cold_tuned_locked(const runtime::Fingerprint& fp,
-                                       const Config& base) ACS_REQUIRES(m_);
-  void tune_loop() ACS_EXCLUDES(tune_m_, m_);
+  /// Tuned overlay for `fp`, computed by `AutoTuner::choose` at its first
+  /// dispatch and replayed afterwards.
+  TunedParams ensure_tuned_locked(const runtime::Fingerprint& fp)
+      ACS_REQUIRES(m_);
   ServeResult<T> make_result_locked(const JobRec& rec, ServeStatus status)
       ACS_REQUIRES(m_);
 
@@ -414,15 +395,7 @@ class Server {
   std::size_t outstanding_pool_bytes_ ACS_GUARDED_BY(m_) = 0;
   /// Admitted jobs not yet resolved.
   std::size_t unresolved_ ACS_GUARDED_BY(m_) = 0;
-  /// Budgeted cold overlays computed.
-  std::uint64_t cold_tunes_ ACS_GUARDED_BY(m_) = 0;
   ServeStats totals_ ACS_GUARDED_BY(m_);
-
-  acs::Mutex tune_m_;
-  acs::CondVar tune_cv_;
-  std::deque<TuneTask> tune_queue_ ACS_GUARDED_BY(tune_m_);
-  bool tune_stop_ ACS_GUARDED_BY(tune_m_) = false;
-  std::thread tuner_thread_;
 
   /// Constructed last (after every member its completion callbacks touch),
   /// destroyed first.

@@ -66,7 +66,6 @@ BatchBenchResult run_engine_batch(
     r.pool_reused_bytes += jr.pool_reused_bytes;
     r.metrics += jr.metrics;
     if (jr.plan_hit) ++hits;
-    if (jr.tuned.valid) ++r.tuned_jobs;
   }
   r.plan_hit_rate =
       r.jobs == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(r.jobs);

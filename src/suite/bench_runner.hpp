@@ -62,7 +62,6 @@ struct BatchBenchResult {
   double plan_hit_rate = 0.0;         ///< engine batches only
   std::size_t pool_reused_bytes = 0;  ///< engine batches only
   std::size_t pool_fresh_bytes = 0;   ///< engine batches only
-  std::size_t tuned_jobs = 0;         ///< jobs that ran with a tuner overlay
   /// Aggregated per-job metrics (stage sim-time breakdown, pool high-water
   /// marks; trace counters when the engine ran with collect_job_traces).
   trace::MetricsSnapshot metrics;

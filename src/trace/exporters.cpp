@@ -136,10 +136,7 @@ void append_counters_json(std::ostringstream& os, const CountersSnapshot& c) {
      << ", \"shed\": " << c.serve_shed
      << ", \"degraded\": " << c.serve_degraded
      << ", \"deadline_misses\": " << c.serve_deadline_misses
-     << ", \"queue_depth_peak\": " << c.serve_queue_depth_peak
-     << "}, \"tune\": {\"cold_tunes\": " << c.cold_tunes
-     << ", \"bg_tunes\": " << c.bg_tunes
-     << ", \"cache_loads\": " << c.cache_loads << "}}";
+     << ", \"queue_depth_peak\": " << c.serve_queue_depth_peak << "}}";
 }
 
 void append_tenant_rows_json(std::ostringstream& os,
@@ -280,11 +277,6 @@ std::string to_table(const TraceSession& session) {
        << " deadline_misses=" << c.serve_deadline_misses
        << " queue_peak=" << c.serve_queue_depth_peak;
   }
-  // Tuning-lifecycle block, only when the cold path actually fired.
-  if (c.cold_tunes > 0 || c.bg_tunes > 0 || c.cache_loads > 0) {
-    os << "\n          tune cold/background/cache_loads=" << c.cold_tunes
-       << "/" << c.bg_tunes << "/" << c.cache_loads;
-  }
   os << "\n";
   return os.str();
 }
@@ -297,10 +289,6 @@ std::string to_table(const MetricsSnapshot& m) {
      << " shed=" << c.serve_shed << " degraded=" << c.serve_degraded
      << " deadline_misses=" << c.serve_deadline_misses
      << " queue_peak=" << c.serve_queue_depth_peak << "\n";
-  if (c.cold_tunes > 0 || c.bg_tunes > 0 || c.cache_loads > 0) {
-    os << "tune:  cold=" << c.cold_tunes << " background=" << c.bg_tunes
-       << " cache_loads=" << c.cache_loads << "\n";
-  }
   if (m.serve_tenants.empty()) return os.str();
 
   std::size_t name_width = 6;

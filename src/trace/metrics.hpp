@@ -35,7 +35,7 @@ struct TenantServeCounters {
   std::uint64_t rejected = 0;  ///< deadline + quota + queue-full refusals
   std::uint64_t shed = 0;      ///< admitted, dropped under memory pressure
   std::uint64_t completed = 0;
-  std::uint64_t degraded = 0;  ///< served on the untuned default plan
+  std::uint64_t degraded = 0;  ///< admitted inside the tune latency
   std::uint64_t deadline_misses = 0;
 
   friend bool operator==(const TenantServeCounters&,

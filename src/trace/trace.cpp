@@ -31,9 +31,6 @@ CountersSnapshot& CountersSnapshot::operator+=(const CountersSnapshot& o) {
   serve_deadline_misses += o.serve_deadline_misses;
   serve_queue_depth_peak =
       std::max(serve_queue_depth_peak, o.serve_queue_depth_peak);
-  cold_tunes += o.cold_tunes;
-  bg_tunes += o.bg_tunes;
-  cache_loads += o.cache_loads;
   return *this;
 }
 
@@ -68,9 +65,6 @@ CountersSnapshot Counters::snapshot() const {
   s.serve_degraded = get(serve_degraded);
   s.serve_deadline_misses = get(serve_deadline_misses);
   s.serve_queue_depth_peak = get(serve_queue_depth_peak);
-  s.cold_tunes = get(cold_tunes);
-  s.bg_tunes = get(bg_tunes);
-  s.cache_loads = get(cache_loads);
   return s;
 }
 

@@ -77,13 +77,9 @@ struct CountersSnapshot {
   std::uint64_t serve_admitted = 0;
   std::uint64_t serve_rejected = 0;  ///< deadline + quota + queue-full refusals
   std::uint64_t serve_shed = 0;      ///< admitted, dropped under memory pressure
-  std::uint64_t serve_degraded = 0;  ///< admitted on the untuned default plan
+  std::uint64_t serve_degraded = 0;  ///< admitted inside the tune latency
   std::uint64_t serve_deadline_misses = 0;  ///< virtual finish past deadline
-  std::uint64_t serve_queue_depth_peak = 0;  ///< gauge: queued + dispatched
-  // Tuning lifecycle (src/tune + runtime engine cold path).
-  std::uint64_t cold_tunes = 0;   ///< predictor-only first-sight tunes
-  std::uint64_t bg_tunes = 0;     ///< background re-tunes completed
-  std::uint64_t cache_loads = 0;  ///< plans seeded from the persisted cache
+  std::uint64_t serve_queue_depth_peak = 0;  ///< gauge: DRR-queued jobs
 
   CountersSnapshot& operator+=(const CountersSnapshot& o);
 };
@@ -116,9 +112,6 @@ struct Counters {
   std::atomic<std::uint64_t> serve_degraded{0};
   std::atomic<std::uint64_t> serve_deadline_misses{0};
   std::atomic<std::uint64_t> serve_queue_depth_peak{0};
-  std::atomic<std::uint64_t> cold_tunes{0};
-  std::atomic<std::uint64_t> bg_tunes{0};
-  std::atomic<std::uint64_t> cache_loads{0};
 
   /// Record one ESC block execution of `iterations` local iterations.
   void record_esc_block(std::uint64_t iterations) {

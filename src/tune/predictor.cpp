@@ -29,14 +29,14 @@ double row_fraction_above(const RowLengthProfile& p, double limit,
 
 /// Device makespan of `blocks` copies of the aggregate counters `total`
 /// (the same uniform-split treatment the pipeline gives its utility
-/// kernels) — the kLatency objective's currency.
+/// kernels) — the currency of `total_s`, which admission prices with.
 double kernel_makespan_s(const sim::MetricCounters& total, double blocks,
                          const sim::DeviceConfig& dev) {
   const auto n = static_cast<std::size_t>(std::max(1.0, std::round(blocks)));
   return sim::schedule_blocks(sim::uniform_block_split(n, total), dev).time_s;
 }
 
-/// Host-calibrated work of one stage — the kThroughput objective's currency.
+/// Host-calibrated work of one stage — the currency the tuner ranks by.
 /// The engine's jobs/s is bounded by what the *host* scheduler chews
 /// through, and the host's relative costs differ from the device model's:
 /// an LSD radix-sort pass really touches every element (~1.5 ns each,
@@ -44,8 +44,8 @@ double kernel_makespan_s(const sim::MetricCounters& total, double blocks,
 /// under the host caches, and every simulated block / written chunk costs
 /// microseconds of dispatch and allocator work that the device model rolls
 /// into bandwidth. Weights were fitted against wall-clock stage profiles of
-/// the reference structures in bench_autotune (see DESIGN.md §9); they need
-/// only rank configurations, not predict absolute seconds.
+/// reference structures (see DESIGN.md §9); they need only rank
+/// configurations, not predict absolute seconds.
 double host_work_s(const sim::MetricCounters& m, double blocks,
                    double chunks, double per_block_us) {
   const double ns =
@@ -73,8 +73,7 @@ constexpr double kPassUs = 0.1;
 }  // namespace
 
 CostBreakdown predict_cost(const TuneFeatures& f, const Config& cfg,
-                           std::size_t value_bytes,
-                           double products_override, bool simulate_makespan) {
+                           std::size_t value_bytes, bool simulate_makespan) {
   CostBreakdown out;
   const sim::DeviceConfig& dev = cfg.device;
   const double vb = static_cast<double>(value_bytes);
@@ -87,8 +86,7 @@ CostBreakdown predict_cost(const TuneFeatures& f, const Config& cfg,
   const double cap = static_cast<double>(cfg.temp_capacity());
   const double retain_cap = static_cast<double>(cfg.retain_capacity());
 
-  const double products =
-      products_override > 0.0 ? products_override : f.est_products;
+  const double products = f.est_products;
 
   // Long-row diversion under this candidate's threshold (Section 3.4):
   // products in B rows at least `t` long never enter the ESC sort.
@@ -318,9 +316,8 @@ CostBreakdown predict_cost(const TuneFeatures& f, const Config& cfg,
 }
 
 double predict_makespan_s(const TuneFeatures& f, const Config& cfg,
-                          std::size_t value_bytes,
-                          double products_override) {
-  return predict_cost(f, cfg, value_bytes, products_override).total_s;
+                          std::size_t value_bytes) {
+  return predict_cost(f, cfg, value_bytes).total_s;
 }
 
 }  // namespace acs::tune

@@ -12,7 +12,6 @@
 /// report.
 
 #include <cstddef>
-#include <cstdint>
 
 #include "core/config.hpp"
 #include "sim/cost_model.hpp"
@@ -46,28 +45,19 @@ struct CostBreakdown {
   double est_nnz_c = 0.0;     ///< estimated output non-zeros
 };
 
-/// Calibration generation of the closed-form weights above (the ns-per-op
-/// constants in predictor.cpp). Bump on any weight change: the persistent
-/// tune cache (runtime/tune_persist.hpp) folds this into its options hash,
-/// so plans tuned under stale weights load as a clean cold miss instead of
-/// being served as if current.
-inline constexpr std::uint32_t kPredictorCalibrationVersion = 1;
-
 /// Predict the cost of running C = A·B (characterized by `f`) under `cfg`.
 /// `value_bytes` is sizeof(T) of the value type (the predictor is not
-/// templated; only byte volumes depend on T). `products_override` > 0
-/// replaces `f.est_products` with an exact measured count — the feedback
-/// path. Deterministic: equal inputs give bit-equal outputs.
+/// templated; only byte volumes depend on T). Deterministic: equal inputs
+/// give bit-equal outputs.
 ///
 /// `simulate_makespan` = false skips the `sim::schedule_blocks` pricing of
 /// the per-stage device makespans — the O(blocks) part that makes full
 /// ranking expensive. The stage times and `total_s` then come back 0;
 /// `serial_s` and every structural estimate are unchanged (they are pure
-/// closed forms). This is the predictor-only cold-tuning path: ranking by
-/// `serial_s` costs microseconds per candidate regardless of matrix size.
+/// closed forms). The tuner ranks this way: pricing one candidate by
+/// `serial_s` costs microseconds regardless of matrix size.
 CostBreakdown predict_cost(const TuneFeatures& f, const Config& cfg,
                            std::size_t value_bytes,
-                           double products_override = 0.0,
                            bool simulate_makespan = true);
 
 /// Predicted device makespan (`CostBreakdown::total_s`) of one C = A·B in
@@ -77,7 +67,6 @@ CostBreakdown predict_cost(const TuneFeatures& f, const Config& cfg,
 /// like `predict_cost`; costs one closed-form evaluation, so pricing a
 /// request is cheap next to running it.
 double predict_makespan_s(const TuneFeatures& f, const Config& cfg,
-                          std::size_t value_bytes,
-                          double products_override = 0.0);
+                          std::size_t value_bytes);
 
 }  // namespace acs::tune

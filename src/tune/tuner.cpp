@@ -7,15 +7,6 @@
 
 namespace acs::tune {
 
-const char* to_string(TuningMode mode) {
-  switch (mode) {
-    case TuningMode::kOff: return "off";
-    case TuningMode::kStaticCostModel: return "static-cost-model";
-    case TuningMode::kFeedback: return "feedback";
-  }
-  return "?";
-}
-
 TunerOptions default_tuner_options(arch::ArchId arch) {
   TunerOptions opts;
   if (arch == arch::ArchId::kSimBigDevice)
@@ -66,17 +57,20 @@ GridAxes build_axes(const TunerOptions& opts, const TuneFeatures& f,
   return g;
 }
 
-/// Shared enumerate-prune-price-sort loop of `rank` and `rank_budgeted`.
-/// `max_candidates` bounds the feasible candidates priced (0 = all);
-/// `simulate_makespan` = false is the predictor-only path, which always
-/// ranks by `serial_s` (the makespan is not computed).
-std::vector<Candidate> rank_impl(const TunerOptions& opts,
-                                 const TuneFeatures& f, const Config& base,
-                                 std::size_t value_bytes,
-                                 double products_override,
-                                 std::size_t max_candidates,
-                                 bool simulate_makespan) {
-  const GridAxes g = build_axes(opts, f, base);
+}  // namespace
+
+std::vector<Candidate> AutoTuner::rank(const TuneFeatures& f,
+                                       const Config& base,
+                                       std::size_t value_bytes) const {
+  return rank_budgeted(f, base, value_bytes, /*max_candidates=*/0);
+}
+
+/// Enumerate, prune, price and sort. Pricing is predictor-only: `serial_s`
+/// is a closed form, and the simulated makespan is never computed.
+std::vector<Candidate> AutoTuner::rank_budgeted(
+    const TuneFeatures& f, const Config& base, std::size_t value_bytes,
+    std::size_t max_candidates) const {
+  const GridAxes g = build_axes(opts_, f, base);
   std::vector<Candidate> out;
   out.reserve(g.npbs.size() * g.retains.size() * g.thresholds.size() *
               g.pmcs.size());
@@ -96,82 +90,33 @@ std::vector<Candidate> rank_impl(const TunerOptions& opts,
           Config cfg = base;
           c.params.apply(cfg);
           if (!fits_device(cfg, value_bytes)) continue;
-          c.cost = predict_cost(f, cfg, value_bytes, products_override,
-                                simulate_makespan);
+          c.cost = predict_cost(f, cfg, value_bytes,
+                                /*simulate_makespan=*/false);
           out.push_back(std::move(c));
         }
       }
     }
   }
-  const bool by_work =
-      !simulate_makespan || opts.objective == TuneObjective::kThroughput;
-  std::sort(out.begin(), out.end(),
-            [by_work](const Candidate& x, const Candidate& y) {
-              const double cx = by_work ? x.cost.serial_s : x.cost.total_s;
-              const double cy = by_work ? y.cost.serial_s : y.cost.total_s;
-              if (cx != cy) return cx < cy;
-              return key_of(x.params) < key_of(y.params);
-            });
+  std::sort(out.begin(), out.end(), [](const Candidate& x, const Candidate& y) {
+    if (x.cost.serial_s != y.cost.serial_s)
+      return x.cost.serial_s < y.cost.serial_s;
+    return key_of(x.params) < key_of(y.params);
+  });
   return out;
-}
-
-}  // namespace
-
-std::vector<Candidate> AutoTuner::rank(const TuneFeatures& f,
-                                       const Config& base,
-                                       std::size_t value_bytes,
-                                       double products_override) const {
-  return rank_impl(opts_, f, base, value_bytes, products_override,
-                   /*max_candidates=*/0, /*simulate_makespan=*/true);
-}
-
-std::vector<Candidate> AutoTuner::rank_budgeted(
-    const TuneFeatures& f, const Config& base, std::size_t value_bytes,
-    std::size_t max_candidates, double products_override) const {
-  return rank_impl(opts_, f, base, value_bytes, products_override,
-                   max_candidates, /*simulate_makespan=*/false);
 }
 
 TunedParams AutoTuner::choose_budgeted(const TuneFeatures& f,
                                        const Config& base,
                                        std::size_t value_bytes,
-                                       std::size_t max_candidates,
-                                       double products_override) const {
-  auto ranked =
-      rank_budgeted(f, base, value_bytes, max_candidates, products_override);
+                                       std::size_t max_candidates) const {
+  auto ranked = rank_budgeted(f, base, value_bytes, max_candidates);
   if (ranked.empty()) return {};
   return ranked.front().params;
 }
 
 TunedParams AutoTuner::choose(const TuneFeatures& f, const Config& base,
-                              std::size_t value_bytes,
-                              double products_override) const {
-  auto ranked = rank(f, base, value_bytes, products_override);
-  if (ranked.empty()) return {};
-  return ranked.front().params;
-}
-
-std::uint64_t options_hash(const TunerOptions& opts) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  const auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (byte * 8)) & 0xffu;
-      h *= 1099511628211ull;  // FNV-1a prime
-    }
-  };
-  mix(static_cast<std::uint64_t>(kPredictorCalibrationVersion));
-  mix(static_cast<std::uint64_t>(opts.objective));
-  mix(opts.tune_long_row_threshold ? 1u : 0u);
-  mix(static_cast<std::uint64_t>(opts.sample_stride));
-  mix(static_cast<std::uint64_t>(opts.min_samples));
-  const auto mix_grid = [&](const std::vector<int>& grid) {
-    mix(grid.size());
-    for (int v : grid) mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)));
-  };
-  mix_grid(opts.nnz_per_block);
-  mix_grid(opts.retain_per_thread);
-  mix_grid(opts.path_merge_max_chunks);
-  return h;
+                              std::size_t value_bytes) const {
+  return choose_budgeted(f, base, value_bytes, /*max_candidates=*/0);
 }
 
 }  // namespace acs::tune

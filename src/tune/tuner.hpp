@@ -6,16 +6,15 @@
 /// threshold and the Path/Search merge cutoff, rejects candidates that
 /// would overflow the scratchpad (the same feasibility check
 /// Pipeline::validate enforces at run time), prices the survivors through
-/// the predictor (predictor.hpp → sim::cost_model) and returns the
-/// cheapest as a `TunedParams` overlay for `SpgemmPlan::tuned`.
+/// the closed-form predictor (predictor.hpp) and returns the cheapest by
+/// `CostBreakdown::serial_s` as a `TunedParams` overlay. The caller applies
+/// the overlay to its own Config (src/serve does, once per structure
+/// fingerprint); nothing is cached or refined here.
 ///
 /// Determinism: ranking is a pure function of (features, base config,
 /// value width) — no clocks, no RNG, no measured times — and ties break on
 /// the candidate's parameter tuple, so every run, worker and scheduler
-/// interleaving picks the same winner. The feedback mode only swaps the
-/// *product-count input* from a sampled estimate to the exact measured
-/// `SpgemmStats::intermediate_products`, which is itself structural, so
-/// refined choices are equally deterministic (DESIGN.md §9).
+/// interleaving picks the same winner (DESIGN.md §9).
 
 #include <cstddef>
 #include <cstdint>
@@ -29,36 +28,6 @@
 #include "tune/predictor.hpp"
 
 namespace acs::tune {
-
-/// How the runtime engine tunes per-job parameters (EngineConfig::tuning).
-enum class TuningMode {
-  /// No tuning: every job runs the submitted Config verbatim.
-  kOff = 0,
-  /// Rank candidates once per structure fingerprint from sampled features;
-  /// the choice is cached on the plan and replayed on every hit.
-  kStaticCostModel,
-  /// Like kStaticCostModel, plus one re-ranking per fingerprint after the
-  /// first run replaces the sampled product estimate with the exact
-  /// measured count.
-  kFeedback,
-};
-
-[[nodiscard]] const char* to_string(TuningMode mode);
-
-/// What the tuner minimizes. The two differ whenever a decomposition trades
-/// per-block overhead against device occupancy: small matrices fill the
-/// SMs better with many small blocks (lower makespan) but burn more total
-/// block time doing it (more work).
-enum class TuneObjective {
-  /// Minimize total work (`CostBreakdown::serial_s`). The right objective
-  /// for the batch engine, whose jobs/s is bounded by the work its workers
-  /// chew through — independent jobs already keep every slot busy, so one
-  /// job's internal parallelism buys nothing.
-  kThroughput = 0,
-  /// Minimize single-multiply device makespan (`CostBreakdown::total_s`) —
-  /// the paper's setting: one SpGEMM at a time on an idle device.
-  kLatency,
-};
 
 /// Default candidate grids, exposed as constexpr arrays so that
 /// tune/invariants.hpp can prove feasibility properties of every default
@@ -78,7 +47,6 @@ inline constexpr int kBigDeviceNnzPerBlockGrid[] = {128, 256, 512, 1024,
 /// values tried for each knob; the base Config's own value is always added,
 /// so tuning can never do worse than the default *under the model*.
 struct TunerOptions {
-  TuneObjective objective = TuneObjective::kThroughput;
   std::vector<int> nnz_per_block{std::begin(kDefaultNnzPerBlockGrid),
                                  std::end(kDefaultNnzPerBlockGrid)};
   std::vector<int> retain_per_thread{std::begin(kDefaultRetainGrid),
@@ -96,9 +64,7 @@ struct TunerOptions {
 /// The tuner options an architecture tunes under by default: the stock
 /// grids everywhere, except that SimBigDevice swaps in
 /// `kBigDeviceNnzPerBlockGrid` to exploit its larger scratchpad. The
-/// runtime engine seeds its tuner from this (EngineConfig::arch), and
-/// because `options_hash` covers the grids, plans tuned under one arch's
-/// grid never replay from the persistent cache under another's.
+/// serving layer seeds its tuner from this (`EngineConfig::arch`).
 [[nodiscard]] TunerOptions default_tuner_options(arch::ArchId arch);
 
 /// One priced candidate: the parameter overlay plus its predicted profile.
@@ -147,52 +113,36 @@ class AutoTuner {
   [[nodiscard]] const TunerOptions& options() const { return opts_; }
 
   /// Price every feasible candidate for a job with features `f` under the
-  /// base configuration, cheapest first (ties broken on the parameter
-  /// tuple). `products_override` > 0 substitutes an exact measured product
-  /// count for `f.est_products` (the feedback path). Never empty as long
-  /// as the base configuration itself is feasible.
-  [[nodiscard]] std::vector<Candidate> rank(
-      const TuneFeatures& f, const Config& base, std::size_t value_bytes,
-      double products_override = 0.0) const;
+  /// base configuration through the predictor alone (no
+  /// `sim::schedule_blocks` simulated execution — `CostBreakdown::total_s`
+  /// comes back 0), cheapest `serial_s` first, ties broken on the parameter
+  /// tuple. Never empty as long as the base configuration itself is
+  /// feasible.
+  [[nodiscard]] std::vector<Candidate> rank(const TuneFeatures& f,
+                                            const Config& base,
+                                            std::size_t value_bytes) const;
 
   /// The winning overlay (`rank(...)[0].params`), or an invalid
   /// TunedParams when no candidate fits the device.
   [[nodiscard]] TunedParams choose(const TuneFeatures& f, const Config& base,
-                                   std::size_t value_bytes,
-                                   double products_override = 0.0) const;
+                                   std::size_t value_bytes) const;
 
-  /// Budgeted predictor-only ranking — the cold-tuning path. Enumerates the
-  /// same candidate grid as `rank`, prunes by `fits_device`, but prices
-  /// survivors through the closed-form predictor alone (no
-  /// `sim::schedule_blocks` simulated execution — `CostBreakdown::total_s`
-  /// comes back 0) and ranks them by `serial_s` with the same tie-break.
-  /// `max_candidates` caps how many feasible candidates are priced, taken in
-  /// deterministic grid-enumeration order; 0 = price them all. With an
-  /// unlimited budget and the kThroughput objective this picks exactly the
-  /// plan full `rank` would (both sort by `serial_s`, which the makespan
-  /// skip leaves bit-identical); under kLatency it approximates, trading
-  /// model fidelity for microsecond cold tunes — the background re-tune
-  /// (runtime/engine.hpp) restores the configured objective afterwards.
+  /// `rank` capped at the first `max_candidates` feasible candidates in
+  /// deterministic grid-enumeration order; 0 = price them all, which is
+  /// `rank` itself.
   [[nodiscard]] std::vector<Candidate> rank_budgeted(
       const TuneFeatures& f, const Config& base, std::size_t value_bytes,
-      std::size_t max_candidates, double products_override = 0.0) const;
+      std::size_t max_candidates) const;
 
   /// The budgeted winner (`rank_budgeted(...)[0].params`), or an invalid
   /// TunedParams when no candidate fits the device.
-  [[nodiscard]] TunedParams choose_budgeted(
-      const TuneFeatures& f, const Config& base, std::size_t value_bytes,
-      std::size_t max_candidates, double products_override = 0.0) const;
+  [[nodiscard]] TunedParams choose_budgeted(const TuneFeatures& f,
+                                            const Config& base,
+                                            std::size_t value_bytes,
+                                            std::size_t max_candidates) const;
 
  private:
   TunerOptions opts_;
 };
-
-/// Deterministic FNV-1a digest of everything a tuning decision depends on
-/// besides the job itself: the candidate grids, objective, threshold
-/// tuning flag, feature-sampling parameters and the predictor calibration
-/// version. The persistent tune cache (runtime/tune_persist.hpp) stamps
-/// files with it, so plans tuned under a different grid, objective or
-/// calibration load as a clean cold miss rather than being replayed stale.
-[[nodiscard]] std::uint64_t options_hash(const TunerOptions& opts);
 
 }  // namespace acs::tune

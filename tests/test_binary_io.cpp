@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include "matrix/generators.hpp"
 
@@ -85,6 +88,52 @@ TEST(BinaryIo, EmptyMatrixRoundTrip) {
   write_binary_file(path, m);
   const auto back = read_binary_file<double>(path);
   EXPECT_TRUE(m.equals_exact(back));
+  std::remove(path.c_str());
+}
+
+/// Overwrite `bytes` bytes at `offset` of the file at `path` with `value`.
+template <class V>
+void patch(const std::string& path, std::streamoff offset, V value) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekp(offset);
+  f.write(reinterpret_cast<const char*>(&value), sizeof(V));
+}
+
+// Header layout: magic(4) version(4) value width(4) rows(4) cols(4) nnz(8).
+constexpr std::streamoff kColsOffset = 16;
+constexpr std::streamoff kNnzOffset = 20;
+constexpr std::streamoff kHeaderBytes = 28;
+
+/// A forged nnz must be rejected from the header alone: beyond the 32-bit
+/// index range, or merely beyond what the file holds. Allocating either
+/// size first would ask for gigabytes (std::bad_alloc is not a
+/// std::runtime_error, so these checks also pin the order).
+TEST(BinaryIo, ForgedHugeNnzThrowsBeforeAllocating) {
+  const auto m = gen_banded<double>(20, 1, 6);
+  const auto path = temp_path("acs_bin_n.acsb");
+  for (const std::int64_t forged :
+       {std::int64_t{1} << 40,
+        static_cast<std::int64_t>(std::numeric_limits<index_t>::max())}) {
+    write_binary_file(path, m);
+    patch(path, kNnzOffset, forged);
+    EXPECT_THROW(read_binary_file<double>(path), std::runtime_error)
+        << "nnz " << forged;
+  }
+  write_binary_file(path, m);
+  patch(path, kColsOffset, index_t{-1});
+  EXPECT_THROW(read_binary_file<double>(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(BinaryIo, OutOfRangeColumnIndexThrows) {
+  const auto m = gen_banded<double>(12, 1, 7);
+  const auto path = temp_path("acs_bin_c.acsb");
+  write_binary_file(path, m);
+  const std::streamoff first_col =
+      kHeaderBytes +
+      static_cast<std::streamoff>(m.row_ptr.size() * sizeof(index_t));
+  patch(path, first_col, m.cols + 5);
+  EXPECT_THROW(read_binary_file<double>(path), std::runtime_error);
   std::remove(path.c_str());
 }
 

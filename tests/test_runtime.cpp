@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <future>
 #include <stdexcept>
@@ -61,7 +60,7 @@ TEST(Fingerprint, ArchFieldSeparatesBackends) {
   // stay byte-for-byte reproducible.
   EXPECT_EQ(fingerprint(a, a), fingerprint(a, a, arch::ArchId::kSimTitanXp));
   // Same structure on a different backend is a different key (a plan's
-  // learned pool size and tuned overlay are arch-specific).
+  // learned pool size is arch-specific).
   const Fingerprint titan = fingerprint(a, a, arch::ArchId::kSimTitanXp);
   const Fingerprint native = fingerprint(a, a, arch::ArchId::kNativeCpu);
   const Fingerprint big = fingerprint(a, a, arch::ArchId::kSimBigDevice);
@@ -605,132 +604,6 @@ TEST(Engine, QueueDepthAndInFlightIntrospection) {
   EXPECT_EQ(engine.in_flight(), 0u);
   const auto direct = multiply(a, a);
   for (auto& h : handles) EXPECT_TRUE(h.result().c.equals_exact(direct));
-}
-
-// --- Background re-tune ---------------------------------------------------
-
-/// Quarter-grid values: regrouping partial sums (the only thing tuned
-/// parameters change) stays exact in float, so any tuning schedule must
-/// produce bit-identical output.
-void quantize(Csr<float>& m) {
-  for (auto& v : m.values) v = std::round(v * 4.0f) / 4.0f + 0.25f;
-}
-
-/// The background tuner thread must land on exactly the plan the inline
-/// feedback path computes: same measured product count in, same full-grid
-/// ranking out — only the thread that runs it differs.
-TEST(Engine, BackgroundRetuneMatchesInlineFeedbackRefinement) {
-  auto a = gen_powerlaw<float>(600, 600, 10.0, 1.3, 200, 21);
-  quantize(a);
-  std::vector<std::pair<Csr<float>, Csr<float>>> pairs(3, {a, a});
-
-  EngineConfig sync_cfg;
-  sync_cfg.workers = 1;
-  sync_cfg.tuning = tune::TuningMode::kFeedback;
-  Engine<float> sync_engine(sync_cfg);
-  (void)sync_engine.multiply_batch(pairs);       // cold + inline re-rank
-  const auto sync_warm = sync_engine.multiply_batch(pairs);
-
-  EngineConfig bg_cfg = sync_cfg;
-  bg_cfg.background_retune = true;
-  Engine<float> bg_engine(bg_cfg);
-  const auto bg_cold = bg_engine.multiply_batch(pairs);
-  bg_engine.wait_background_tunes();
-  const auto bg_warm = bg_engine.multiply_batch(pairs);
-
-  ASSERT_EQ(bg_warm.size(), sync_warm.size());
-  for (std::size_t i = 0; i < bg_warm.size(); ++i) {
-    ASSERT_FALSE(bg_warm[i].failed());
-    EXPECT_TRUE(bg_warm[i].tuned.valid);
-    EXPECT_EQ(bg_warm[i].tuned, sync_warm[i].tuned) << "job " << i;
-    EXPECT_TRUE(bg_warm[i].c.equals_exact(sync_warm[i].c)) << "job " << i;
-    // The cold pass already computed — with the predictor alone — and its
-    // output must match too (tuning only regroups work).
-    ASSERT_FALSE(bg_cold[i].failed());
-    EXPECT_TRUE(bg_cold[i].c.equals_exact(sync_warm[i].c)) << "job " << i;
-  }
-  EXPECT_EQ(bg_engine.stats().cold_tunes, 1u);
-  EXPECT_EQ(bg_engine.stats().bg_tunes, 1u);
-  EXPECT_EQ(bg_engine.metrics().counters.bg_tunes, 1u);
-  EXPECT_EQ(sync_engine.stats().bg_tunes, 0u);
-}
-
-/// Race battery: background re-tunes swapping into the plan cache while
-/// live submissions keep arriving must never disturb results — 1-worker
-/// and 4-worker engines agree bit-for-bit on every job regardless of when
-/// each upgrade lands relative to each dispatch.
-TEST(Engine, BackgroundRetuneRacingSubmissionsStaysBitIdentical) {
-  std::vector<Csr<float>> mats;
-  for (std::uint64_t seed = 0; seed < 3; ++seed) {
-    mats.push_back(gen_powerlaw<float>(400, 400, 8.0, 1.4, 150, 31 + seed));
-    quantize(mats.back());
-  }
-  std::vector<std::pair<Csr<float>, Csr<float>>> pairs;
-  for (int round = 0; round < 6; ++round)       // repeats interleave cold,
-    for (const auto& m : mats) pairs.emplace_back(m, m);  // racing, warm
-
-  std::vector<std::vector<Csr<float>>> outs;
-  for (const unsigned workers : {1u, 4u}) {
-    EngineConfig ec;
-    ec.workers = workers;
-    ec.tuning = tune::TuningMode::kFeedback;
-    ec.background_retune = true;
-    Engine<float> engine(ec);
-    std::vector<JobHandle<float>> handles;
-    handles.reserve(pairs.size());
-    for (const auto& [x, y] : pairs)  // no waiting between submissions
-      handles.push_back(engine.submit(x, y));
-    outs.emplace_back();
-    for (auto& h : handles) outs.back().push_back(h.result().c);
-    engine.wait_background_tunes();
-    // One refinement per fingerprint is the steady state; concurrent cold
-    // sightings of the same fingerprint may legitimately add extras (the
-    // upgrade is idempotent — last full-grid ranking wins and they agree).
-    EXPECT_GE(engine.stats().bg_tunes, mats.size());
-  }
-  ASSERT_EQ(outs[0].size(), outs[1].size());
-  for (std::size_t i = 0; i < outs[0].size(); ++i)
-    EXPECT_TRUE(outs[0][i].equals_exact(outs[1][i])) << "job " << i;
-}
-
-/// background_retune without a plan cache has nowhere to publish a
-/// refinement; the engine must fall back to the inline feedback path
-/// rather than silently dropping tuning.
-TEST(Engine, BackgroundRetuneWithoutPlanCacheFallsBackInline) {
-  auto a = gen_powerlaw<float>(400, 400, 8.0, 1.4, 150, 41);
-  quantize(a);
-  EngineConfig ec;
-  ec.workers = 1;
-  ec.tuning = tune::TuningMode::kFeedback;
-  ec.background_retune = true;
-  ec.use_plan_cache = false;
-  Engine<float> engine(ec);
-  const auto r1 = engine.submit(a, a).result();
-  engine.wait_background_tunes();
-  EXPECT_EQ(engine.stats().bg_tunes, 0u);
-  EXPECT_TRUE(r1.tuned.valid);
-  EXPECT_TRUE(r1.c.equals_exact(multiply(a, a)));
-}
-
-/// Regression: idle workers nudge the background tuner, and they used to
-/// probe bg_thread_.joinable() to decide whether one exists — racing the
-/// destructor's join() the moment the queue drained. The probe now reads
-/// bg_enabled_ (const after construction). Rapid construct/submit/destroy
-/// cycles with re-tuning on must shut down cleanly (TSan covers the race).
-TEST(Engine, RapidShutdownWithBackgroundRetuneIsRaceFree) {
-  auto a = gen_powerlaw<float>(200, 200, 6.0, 1.4, 80, 51);
-  quantize(a);
-  for (int round = 0; round < 8; ++round) {
-    EngineConfig ec;
-    ec.workers = 2;
-    ec.tuning = tune::TuningMode::kFeedback;
-    ec.background_retune = true;
-    Engine<float> engine(ec);
-    auto h1 = engine.submit(a, a);
-    auto h2 = engine.submit(a, a);
-    EXPECT_FALSE(h1.result().failed());
-    (void)h2;  // abandoned: the destructor must drain and join regardless
-  }
 }
 
 }  // namespace

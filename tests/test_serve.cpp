@@ -306,13 +306,13 @@ TEST(ServeServer, DegradedAndTunedPathsBothReconstructBitIdentically) {
   scfg.tune_latency_s = 4.0 * c;
   Server<double> server(scfg);
 
-  // Cold fingerprint: served immediately on the predictor-only overlay.
+  // Cold fingerprint: flagged degraded on the virtual timeline.
   auto cold = server.submit(a, a, SubmitInfo{"alpha", 0, 0.0, kInf});
   EXPECT_TRUE(cold.decision().degraded_plan);
   // Still inside the modeled tune latency: degraded as well.
   auto tepid = server.submit(a, a, SubmitInfo{"alpha", 0, 2.0 * c, kInf});
   EXPECT_TRUE(tepid.decision().degraded_plan);
-  // Past the modeled latency: runs with the full tuned overlay.
+  // Past the modeled latency: warm.
   auto warm = server.submit(a, a, SubmitInfo{"alpha", 0, 5.0 * c, kInf});
   EXPECT_FALSE(warm.decision().degraded_plan);
   server.drain();
@@ -324,16 +324,16 @@ TEST(ServeServer, DegradedAndTunedPathsBothReconstructBitIdentically) {
   EXPECT_TRUE(tepid.result().degraded);
   EXPECT_FALSE(warm.result().degraded);
 
-  // Degraded jobs ran the budgeted predictor-only cold overlay — reported
-  // on tuned_applied and equal to what choose_budgeted picks directly...
+  // Degraded and warm jobs ran the same overlay — reported on
+  // tuned_applied and equal to what choose picks directly...
   const tune::AutoTuner tuner(scfg.tuner);
   const auto feats = tune::extract_features(a, a, scfg.tuner.sample_stride,
                                             scfg.tuner.min_samples);
-  const TunedParams expect_cold = tuner.choose_budgeted(
-      feats, Config{}, sizeof(double), scfg.engine.cold_tune_candidate_budget);
+  const TunedParams expect = tuner.choose(feats, Config{}, sizeof(double));
   EXPECT_TRUE(cold.result().tuned_applied.valid);
-  EXPECT_EQ(cold.result().tuned_applied, expect_cold);
-  EXPECT_EQ(tepid.result().tuned_applied, expect_cold);
+  EXPECT_EQ(cold.result().tuned_applied, expect);
+  EXPECT_EQ(tepid.result().tuned_applied, expect);
+  EXPECT_EQ(warm.result().tuned_applied, cold.result().tuned_applied);
 
   // ...and every job — degraded or warm — is reconstructible by applying
   // the reported overlay to the submitted Config.
@@ -346,8 +346,8 @@ TEST(ServeServer, DegradedAndTunedPathsBothReconstructBitIdentically) {
   const auto s = server.stats();
   EXPECT_EQ(s.degraded, 2u);
   EXPECT_EQ(s.completed, 3u);
-  // The cold overlay was computed once and the metrics report it.
-  EXPECT_EQ(server.metrics().counters.cold_tunes, 1u);
+  // The overlay was computed once for the fingerprint.
+  EXPECT_EQ(s.tunes, 1u);
 }
 
 TEST(ServeServer, DeadlineRejectionIsStructuredAndResubmissionServes) {
@@ -811,9 +811,9 @@ TEST(ServeProperty, DecisionStreamFieldExactUnderSampledPoolSizing) {
 /// Decisions are a pure function of the submission trace's *virtual*
 /// times, never of wall-clock interleaving. Back-to-back submission (every
 /// arrival lands while the engine still churns on the first jobs) and
-/// paced submission (each tune/execution completes before, between, or
-/// after later arrivals) must produce field-exact decision streams,
-/// identical counters, and bit-identical payloads.
+/// paced submission (each execution completes before, between, or after
+/// later arrivals) must produce field-exact decision streams, identical
+/// counters, and bit-identical payloads.
 TEST(ServeProperty, DecisionStreamInvariantToTunerThreadTiming) {
   std::vector<Csr<double>> mats;
   mats.push_back(gen_uniform_random<double>(120, 120, 5.0, 1.5, 101));
@@ -824,9 +824,9 @@ TEST(ServeProperty, DecisionStreamInvariantToTunerThreadTiming) {
   for (const auto& m : mats)
     pool = std::max(pool, estimate_chunk_pool_bytes(m, m, Config{}));
 
-  // Repeats of both fingerprints straddling tune_latency_s (= 2 c0): the
-  // cold budgeted overlay serves the early arrivals, the full-grid one the
-  // late arrivals — whichever real thread computed what, whenever.
+  // Repeats of both fingerprints straddling tune_latency_s (= 2 c0): early
+  // arrivals are degraded, late ones warm, whichever real thread
+  // dispatched what, whenever.
   const std::vector<TraceEvent> trace = {
       {0, "alpha", 3, 0.0, kInf},
       {1, "beta", 1, 0.0, kInf},
@@ -860,13 +860,14 @@ TEST(ServeProperty, DecisionStreamInvariantToTunerThreadTiming) {
       tuned += (!a.degraded && a.tuned_applied.valid) ? 1 : 0;
     }
   }
-  EXPECT_GE(degraded, 2);  // the trace really exercised the cold overlay
-  EXPECT_GE(tuned, 2);     // ... and the post-latency tuned path
+  EXPECT_GE(degraded, 2);  // the trace really exercised degradation
+  EXPECT_GE(tuned, 2);     // ... and the post-latency warm path
   EXPECT_EQ(fast.stats.degraded, slow.stats.degraded);
   EXPECT_EQ(fast.stats.completed, slow.stats.completed);
-  // Cold tunes are per-fingerprint, not per-degraded-job, and independent
-  // of pacing.
   EXPECT_EQ(fast.stats.degraded, static_cast<std::size_t>(degraded));
+  // Tunes are per-fingerprint, not per-job, and independent of pacing.
+  EXPECT_EQ(fast.stats.tunes, 2u);
+  EXPECT_EQ(slow.stats.tunes, 2u);
 }
 
 }  // namespace

@@ -184,8 +184,7 @@ TEST(Exporters, FlatJsonGolden) {
       "\"block_time_ns_sum\": 0, \"block_time_ns_max\": 0, "
       "\"serve\": {\"submitted\": 0, \"admitted\": 0, \"rejected\": 0, "
       "\"shed\": 0, \"degraded\": 0, \"deadline_misses\": 0, "
-      "\"queue_depth_peak\": 0}, "
-      "\"tune\": {\"cold_tunes\": 0, \"bg_tunes\": 0, \"cache_loads\": 0}}\n"
+      "\"queue_depth_peak\": 0}}\n"
       "}\n";
   EXPECT_EQ(to_flat_json(golden_session(), o), expected);
 }

@@ -1,10 +1,10 @@
 /// \file test_tune.cpp
-/// The auto-tuner's contracts (ISSUE: tuner satellite tests):
+/// The auto-tuner's contracts:
 ///  * candidate ranking is deterministic and independent of scheduler
-///    interleaving — 1 and 4 scheduler threads pick the same parameters and
-///    produce bit-identical C;
-///  * feedback tuning converges — per-pass restarts are monotonically
-///    non-increasing and reach zero;
+///    interleaving — applied directly at 1 and 4 scheduler threads, or
+///    through a Server with 1 and 4 workers, it picks the same parameters
+///    and produces bit-identical C;
+///  * ranking is predictor-only — it never runs the block scheduler;
 ///  * every candidate the tuner can emit respects the scratchpad
 ///    invariants Pipeline::validate enforces (no tuned run can throw the
 ///    simulator's scratchpad-overflow error).
@@ -20,6 +20,7 @@
 #include "matrix/coo.hpp"
 #include "matrix/generators.hpp"
 #include "runtime/engine.hpp"
+#include "serve/server.hpp"
 #include "tune/features.hpp"
 #include "tune/predictor.hpp"
 #include "tune/tuner.hpp"
@@ -97,40 +98,57 @@ TEST(Tune, RankingIncludesBaseConfigSoTuningNeverLosesUnderTheModel) {
   EXPECT_LE(ranked.front().cost.serial_s, base_cost);
 }
 
-/// The ISSUE's interleaving test: same batch through engines whose jobs run
-/// with 1 vs. 4 simulated scheduler threads (and 1 vs. 4 engine workers) —
-/// the tuner must pick identical parameters and the outputs must match bit
-/// for bit, because the choice is a pure function of structure.
+/// The choice is a pure function of structure: applying `choose` directly
+/// at 1 vs. 4 scheduler threads, and serving the same jobs through a Server
+/// with 1 vs. 4 engine workers, must agree on the parameters and on every
+/// output bit.
 TEST(Tune, ChoiceIsInterleavingIndependentAndOutputsBitIdentical) {
   std::vector<std::pair<Csr<float>, Csr<float>>> pairs;
-  for (int i = 0; i < 6; ++i) pairs.push_back(frontier_job());
+  for (int i = 0; i < 3; ++i) pairs.push_back(frontier_job());
   auto s = acs::gen_stencil_2d<float>(32, 32, 3);
   quantize(s);
   for (int i = 0; i < 2; ++i) pairs.emplace_back(s, s);
 
-  auto run = [&](unsigned engine_workers, unsigned sched_threads) {
-    acs::runtime::EngineConfig ec;
-    ec.workers = engine_workers;
-    ec.tuning = acs::tune::TuningMode::kFeedback;
-    acs::runtime::Engine<float> engine(ec);
-    Config cfg;
-    cfg.scheduler_threads = sched_threads;
-    engine.multiply_batch(pairs, cfg);  // cold pass: tune + measure
-    return engine.multiply_batch(pairs, cfg);
-  };
+  const AutoTuner tuner;
+  std::vector<TunedParams> chosen;
+  std::vector<Csr<float>> direct;
+  for (const auto& [a, b] : pairs) {
+    const TunedParams p =
+        tuner.choose(extract_features(a, b), Config{}, sizeof(float));
+    ASSERT_TRUE(p.valid);
+    Config serial;
+    serial.scheduler_threads = 1;
+    p.apply(serial);
+    Config parallel = serial;
+    parallel.scheduler_threads = 4;
+    direct.push_back(acs::multiply(a, b, serial));
+    EXPECT_TRUE(direct.back().equals_exact(acs::multiply(a, b, parallel)));
+    chosen.push_back(p);
+  }
 
-  const auto serial = run(1, 1);
-  const auto parallel = run(4, 4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_FALSE(serial[i].failed());
-    ASSERT_FALSE(parallel[i].failed());
-    EXPECT_EQ(serial[i].tuned, parallel[i].tuned) << "job " << i;
-    EXPECT_TRUE(serial[i].tuned.valid);
-    EXPECT_TRUE(serial[i].c.equals_exact(parallel[i].c)) << "job " << i;
+  for (const unsigned workers : {1u, 4u}) {
+    acs::serve::ServerConfig sc;
+    sc.engine.workers = workers;
+    acs::serve::Server<float> server(sc);
+    std::vector<acs::serve::ServeHandle<float>> handles;
+    for (int pass = 0; pass < 2; ++pass)
+      for (const auto& [a, b] : pairs)
+        handles.push_back(server.submit(a, b, {}));
+    server.drain();
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+      const auto& r = handles[i].result();
+      ASSERT_TRUE(r.served()) << "workers " << workers << " job " << i;
+      EXPECT_EQ(r.tuned_applied, chosen[i % pairs.size()])
+          << "workers " << workers << " job " << i;
+      EXPECT_TRUE(r.job.c.equals_exact(direct[i % pairs.size()]))
+          << "workers " << workers << " job " << i;
+    }
+    EXPECT_EQ(server.stats().tunes, 2u);  // one per structure fingerprint
   }
 }
 
+/// Tuning and the plan cache's pool feedback are independent: a batch run
+/// under the tuner's overlay converges to zero restarts like any other.
 TEST(Tune, FeedbackRestartsMonotonicallyNonIncreasing) {
   std::vector<std::pair<Csr<float>, Csr<float>>> pairs;
   for (int i = 0; i < 4; ++i) pairs.push_back(frontier_job());
@@ -139,10 +157,11 @@ TEST(Tune, FeedbackRestartsMonotonicallyNonIncreasing) {
   Config cfg;
   cfg.pool_lower_bound_bytes = 4 << 10;
   cfg.pool_estimate_factor = 0.01;
+  const auto f = extract_features(pairs[0].first, pairs[0].second);
+  AutoTuner{}.choose(f, cfg, sizeof(float)).apply(cfg);
 
   acs::runtime::EngineConfig ec;
   ec.workers = 2;
-  ec.tuning = acs::tune::TuningMode::kFeedback;
   acs::runtime::Engine<float> engine(ec);
 
   std::size_t prev = 0;
@@ -158,7 +177,7 @@ TEST(Tune, FeedbackRestartsMonotonicallyNonIncreasing) {
     }
     prev = this_pass;
   }
-  EXPECT_EQ(prev, 0u) << "feedback tuning must converge to zero restarts";
+  EXPECT_EQ(prev, 0u) << "pool feedback must converge to zero restarts";
 }
 
 TEST(Tune, AllCandidatesRespectScratchpadInvariants) {
@@ -243,10 +262,8 @@ TEST(Tune, FeaturesAreStructuralAndSamplingIsDeterministic) {
                    mass * static_cast<double>(f1.stride));
 }
 
-/// The cold path's central promise: an unlimited predictor-only budget
-/// picks exactly the plan the full ranking would. Both sort by `serial_s`
-/// (the default kThroughput objective), and skipping the simulated
-/// makespan leaves `serial_s` bit-identical — only `total_s` collapses.
+/// Ranking is predictor-only: `rank` never runs the block scheduler (every
+/// `total_s` stays 0), and an unlimited budget is `rank` itself.
 TEST(Tune, BudgetedUnlimitedMatchesFullRanking) {
   const auto [a, b] = frontier_job();
   const auto f = extract_features(a, b);
@@ -254,21 +271,16 @@ TEST(Tune, BudgetedUnlimitedMatchesFullRanking) {
   const AutoTuner tuner;
 
   const auto full = tuner.rank(f, base, sizeof(float));
-  const auto cold = tuner.rank_budgeted(f, base, sizeof(float), 0);
-  ASSERT_EQ(cold.size(), full.size());
+  const auto unlimited = tuner.rank_budgeted(f, base, sizeof(float), 0);
+  ASSERT_EQ(unlimited.size(), full.size());
   for (std::size_t i = 0; i < full.size(); ++i) {
-    EXPECT_EQ(cold[i].params, full[i].params) << "rank " << i;
-    // Predictor-only pricing reproduces the work estimate exactly and
-    // never ran the block scheduler.
-    EXPECT_EQ(cold[i].cost.serial_s, full[i].cost.serial_s) << "rank " << i;
-    EXPECT_EQ(cold[i].cost.total_s, 0.0) << "rank " << i;
+    EXPECT_EQ(unlimited[i].params, full[i].params) << "rank " << i;
+    EXPECT_EQ(unlimited[i].cost.serial_s, full[i].cost.serial_s)
+        << "rank " << i;
+    EXPECT_EQ(full[i].cost.total_s, 0.0) << "rank " << i;
   }
   EXPECT_EQ(tuner.choose_budgeted(f, base, sizeof(float), 0),
             tuner.choose(f, base, sizeof(float)));
-  // And with a measured product count (the feedback path's override).
-  const double measured = f.est_products * 1.5;
-  EXPECT_EQ(tuner.choose_budgeted(f, base, sizeof(float), 0, measured),
-            tuner.choose(f, base, sizeof(float), measured));
 }
 
 /// Starved budgets still return a usable plan: every ranked candidate is

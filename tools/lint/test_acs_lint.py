@@ -140,14 +140,14 @@ class RepoGate(unittest.TestCase):
         base = (HERE / "lock_order.toml").read_text()
         with tempfile.NamedTemporaryFile("w", suffix=".toml",
                                          delete=False) as fh:
-            fh.write(base.replace('"Engine::bg_m_" = 30',
-                                  '"Engine::bg_m_" = 45'))
+            fh.write(base.replace('"Server::m_" = 10',
+                                  '"Server::m_" = 45'))
             tmp = fh.name
         try:
             code, out, _ = run_lint(str(REPO / "src"), "--rules",
                                     "lock-order", "--lock-order-config", tmp)
             self.assertEqual(code, 1, "inverted ranks must trip")
-            self.assertIn("Engine::bg_m_", out)
+            self.assertIn("Server::m_", out)
         finally:
             Path(tmp).unlink()
 
