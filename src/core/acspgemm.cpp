@@ -56,10 +56,8 @@ class Pipeline {
         trace_(cfg.trace),
         own_scheduler_(scheduler ? 1 : cfg.scheduler_threads),
         scheduler_(scheduler ? *scheduler : own_scheduler_),
-        initial_pool_(plan.pool_bytes ? plan.pool_bytes
-                                      : estimate_chunk_pool_bytes(a, b, cfg)),
+        initial_pool_(validated_pool_bytes(a, b, cfg, plan)),
         pool_(initial_pool_) {
-    validate();
     // Fault-injection hook (core/chunk.hpp): denials look exactly like pool
     // exhaustion, so they exercise the restart protocol on demand.
     pool_.set_policy(cfg.alloc_policy);
@@ -79,36 +77,46 @@ class Pipeline {
   }
 
  private:
-  void validate() const {
-    if (a_.cols != b_.rows)
+  /// The run's initial pool sizing, after the operands and Config pass
+  /// `validate` — the sampled estimate indexes B's rows by A's column ids.
+  static std::size_t validated_pool_bytes(const Csr<T>& a, const Csr<T>& b,
+                                          const Config& cfg,
+                                          const SpgemmPlan& plan) {
+    validate(a, b, cfg);
+    return plan.pool_bytes ? plan.pool_bytes
+                           : estimate_chunk_pool_bytes(a, b, cfg);
+  }
+
+  static void validate(const Csr<T>& a, const Csr<T>& b, const Config& cfg) {
+    if (a.cols != b.rows)
       throw std::invalid_argument("acspgemm: dimension mismatch (A.cols != B.rows)");
-    if (cfg_.validate_inputs) {
-      if (const auto err = a_.validate(); !err.empty())
+    if (cfg.validate_inputs) {
+      if (const auto err = a.validate(); !err.empty())
         throw std::invalid_argument("acspgemm: invalid A: " + err);
-      if (const auto err = b_.validate(); !err.empty())
+      if (const auto err = b.validate(); !err.empty())
         throw std::invalid_argument("acspgemm: invalid B: " + err);
     }
-    if (cfg_.threads <= 0 || cfg_.nnz_per_block <= 0 ||
-        cfg_.elements_per_thread <= 0)
+    if (cfg.threads <= 0 || cfg.nnz_per_block <= 0 ||
+        cfg.elements_per_thread <= 0)
       throw std::invalid_argument("acspgemm: non-positive block configuration");
-    if (cfg_.retain_per_thread < 0 ||
-        cfg_.retain_per_thread >= cfg_.elements_per_thread)
+    if (cfg.retain_per_thread < 0 ||
+        cfg.retain_per_thread >= cfg.elements_per_thread)
       throw std::invalid_argument(
           "acspgemm: retain_per_thread must be in [0, elements_per_thread)");
-    if (!(cfg_.pool_growth_factor > 1.0))
+    if (!(cfg.pool_growth_factor > 1.0))
       throw std::invalid_argument(
           "acspgemm: pool_growth_factor must be > 1 (growth must make "
           "progress every restart)");
-    if (cfg_.temp_capacity() > 32767)
+    if (cfg.temp_capacity() > 32767)
       throw std::invalid_argument(
           "acspgemm: temp capacity exceeds the 15-bit compaction counters");
     // The paper's claim that the working set fits in on-chip memory,
     // enforced: keys + values + WDState + scan states must fit.
-    sim::Scratchpad pad(static_cast<std::size_t>(cfg_.device.scratchpad_bytes));
-    const auto cap = static_cast<std::size_t>(cfg_.temp_capacity());
+    sim::Scratchpad pad(static_cast<std::size_t>(cfg.device.scratchpad_bytes));
+    const auto cap = static_cast<std::size_t>(cfg.temp_capacity());
     pad.allocate<std::uint64_t>(cap);                                   // keys
     pad.allocate<T>(cap);                                               // values
-    pad.allocate<offset_t>(static_cast<std::size_t>(cfg_.nnz_per_block) + 1);
+    pad.allocate<offset_t>(static_cast<std::size_t>(cfg.nnz_per_block) + 1);
     pad.allocate<std::uint32_t>(cap);                                   // states
   }
 
@@ -210,7 +218,7 @@ class Pipeline {
 
   // --- Stage 2: adaptive chunk-based ESC with restarts. --------------------
   void esc_stage() {
-    block_states_.assign(num_blocks_, BlockState{});
+    block_states_.assign(num_blocks_, BlockState<T>{});
     std::vector<std::size_t> pending(num_blocks_);
     for (std::size_t i = 0; i < num_blocks_; ++i) pending[i] = i;
 
@@ -513,7 +521,7 @@ class Pipeline {
 
   std::size_t num_blocks_ = 0;
   std::vector<index_t> block_row_starts_;
-  std::vector<BlockState> block_states_;
+  std::vector<BlockState<T>> block_states_;
   std::vector<Chunk<T>> chunks_;
   std::vector<std::vector<RowSegment>> segments_;
   std::vector<offset_t> row_nnz_;

@@ -100,7 +100,7 @@ template <class T, bool kNative>
 EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
                                      std::span<const index_t> block_row_starts,
                                      std::size_t block_id, const Config& cfg,
-                                     ChunkPool& pool, BlockState& state) {
+                                     ChunkPool& pool, BlockState<T>& state) {
   EscBlockResult<T> res;
   sim::MetricCounters& m = res.metrics;
 
@@ -202,21 +202,25 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
     state.long_rows_done = j + 1;
   }
 
-  // --- Local work distribution (Algorithm 2).
+  // --- Local work distribution (Algorithm 2), resumed at the iteration
+  // whose chunk write failed in an earlier launch (0 on the first launch).
   WorkDistribution wd(counts, m);
-  if (state.committed > 0) wd.fast_forward(state.committed, m);
+  if (state.resume_consumed > 0) wd.fast_forward(state.resume_consumed, m);
 
   const index_t capacity = static_cast<index_t>(cfg.temp_capacity());
   const index_t retain_cap = static_cast<index_t>(cfg.retain_capacity());
 
   // Carried partial row between iterations (decoded form; re-encoded with
-  // each iteration's codec).
-  index_t carried_local_row = -1;
+  // each iteration's codec), restored from the resume point.
+  index_t carried_local_row = state.carry_row;
   std::vector<index_t>& car_col = ws.car_col;
   std::vector<T>& car_val = ws.car_val;
-  car_col.clear();
-  car_val.clear();
-  offset_t carried_sources = 0;
+  car_col.assign(state.carry_cols.begin(), state.carry_cols.end());
+  car_val.assign(state.carry_vals.begin(), state.carry_vals.end());
+  // The restored carry is reloaded from global memory (spilled there when
+  // the previous launch stopped).
+  if constexpr (!kNative)
+    m.global_bytes_coalesced += car_col.size() * (sizeof(index_t) + sizeof(T));
 
   std::vector<std::uint64_t>& keys = ws.keys;
   std::vector<T>& vals = ws.vals;
@@ -233,6 +237,7 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
   while (wd.size() > 0) {
     ACS_TRACE_SCOPE(detail_trace, "esc.iteration");
     ++res.iterations;
+    const offset_t iteration_start = wd.consumed();
     const auto carried = static_cast<index_t>(car_col.size());
     const offset_t consume =
         std::min<offset_t>(wd.size(), capacity - carried);
@@ -242,9 +247,6 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
     KeyCodec codec = KeyCodec::make(
         0, 0, 0, 0, false, static_cast<index_t>(cfg.nnz_per_block - 1),
         b.cols - 1);
-    // Drawn products feeding the buffer's last row (native path only; the
-    // simulated path recounts from its product staging below).
-    [[maybe_unused]] offset_t native_last_row_drawn = 0;
     if constexpr (kNative) {
       // --- Fused receive + expand + encode: each drawn product is touched
       // exactly once — the item and product staging buffers of the simulated
@@ -271,11 +273,7 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
                                              index_t b_hi) {
         const std::size_t ai = static_cast<std::size_t>(begin + a_idx);
         const index_t lrow = local_row[static_cast<std::size_t>(a_idx)];
-        if (lrow != last_lrow_drawn) {
-          last_lrow_drawn = lrow;
-          native_last_row_drawn = 0;
-        }
-        native_last_row_drawn += b_hi - b_lo;
+        last_lrow_drawn = lrow;
         const std::uint64_t krow =
             static_cast<std::uint64_t>(lrow - row_lo) << static_col_bits;
         const T aval = a.values[ai];
@@ -392,21 +390,7 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
     const CompactionOutput<T>& out = ws.compaction;
     assert(!out.rows.empty());
 
-    // Sources feeding the (new) last row this round: the products drawn for
-    // it plus, if the carried row is still open, its accumulated sources.
     const index_t last_lrow = out.rows.back().first;
-    offset_t last_row_sources = 0;
-    if constexpr (kNative) {
-      // Counted during the fused sweep: drawn products only, never the
-      // carried elements (those are not sources themselves).
-      last_row_sources = native_last_row_drawn;
-    } else {
-      for (const auto& p : ws.prods)
-        if (p.lrow == last_lrow) ++last_row_sources;
-    }
-    if (carried > 0 && carried_local_row == last_lrow)
-      last_row_sources += carried_sources;
-
     const bool more = wd.size() > 0;
     const index_t last_count = out.rows.back().second;
     const bool carry_last =
@@ -421,8 +405,17 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
                                    {static_cast<std::uint32_t>(block_id),
                                     state.chunk_counter});
       if (!pool.try_allocate(chunk.byte_size())) {
+        // Resume point (DESIGN.md §8): this iteration's start and the carry
+        // it began with, spilled to global memory for the relaunch.
+        state.resume_consumed = iteration_start;
+        state.carry_row = carried_local_row;
+        state.carry_cols.assign(car_col.begin(), car_col.end());
+        state.carry_vals.assign(car_val.begin(), car_val.end());
+        if constexpr (!kNative)
+          m.global_bytes_coalesced +=
+              car_col.size() * (sizeof(index_t) + sizeof(T));
         res.needs_restart = true;
-        return res;  // committed unchanged: replay redoes this iteration
+        return res;
       }
       if constexpr (!kNative) {
         charge_chunk_write(m, chunk.byte_size(), write_rows);
@@ -433,15 +426,6 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
       ACS_TRACE_COUNT(cfg.trace, chunks_written, 1);
       res.chunks.push_back(std::move(chunk));
       ++state.chunk_counter;
-      // Restart invariant (DESIGN.md §8): `committed` counts exactly the
-      // work-distribution sources whose products are fully represented in
-      // written chunks. A carried (retained) last row is NOT committed —
-      // its sources replay after a restart and the replayed products
-      // re-produce the carried partial row bit-identically. This is the
-      // only place `committed` advances; it moves monotonically and only
-      // after the chunk covering the work is safely in the pool.
-      state.committed =
-          wd.consumed() - (carry_last ? last_row_sources : 0);
     }
 
     if (carry_last) {
@@ -456,14 +440,10 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
         car_val[static_cast<std::size_t>(i)] =
             out.vals[first + static_cast<std::size_t>(i)];
       }
-      carried_sources = last_row_sources;
     } else {
-      // With no carry, last_row_sources was not subtracted above, so
-      // `committed` already equals wd.consumed() — no second assignment.
       carried_local_row = -1;
       car_col.clear();
       car_val.clear();
-      carried_sources = 0;
     }
   }
 
@@ -477,7 +457,7 @@ template <class T>
 EscBlockResult<T> run_esc_block(const Csr<T>& a, const Csr<T>& b,
                                 std::span<const index_t> block_row_starts,
                                 std::size_t block_id, const Config& cfg,
-                                ChunkPool& pool, BlockState& state) {
+                                ChunkPool& pool, BlockState<T>& state) {
   if (cfg.exec == arch::ExecKind::kNative)
     return run_esc_block_impl<T, true>(a, b, block_row_starts, block_id, cfg,
                                        pool, state);
@@ -489,11 +469,11 @@ template EscBlockResult<float> run_esc_block(const Csr<float>&,
                                              const Csr<float>&,
                                              std::span<const index_t>,
                                              std::size_t, const Config&,
-                                             ChunkPool&, BlockState&);
+                                             ChunkPool&, BlockState<float>&);
 template EscBlockResult<double> run_esc_block(const Csr<double>&,
                                               const Csr<double>&,
                                               std::span<const index_t>,
                                               std::size_t, const Config&,
-                                              ChunkPool&, BlockState&);
+                                              ChunkPool&, BlockState<double>&);
 
 }  // namespace acs

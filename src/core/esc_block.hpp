@@ -6,7 +6,7 @@
 /// expand–sort–compress, carrying the last (possibly incomplete) row between
 /// iterations and writing completed rows out as chunks. Supports the restart
 /// protocol: on chunk-pool exhaustion the block stops, and a relaunch
-/// resumes from the committed work-distribution position.
+/// resumes at the start of the iteration whose chunk write failed.
 
 #include <cstdint>
 #include <span>
@@ -20,11 +20,20 @@
 namespace acs {
 
 /// Persistent per-block restart state ("restart information" of
-/// Section 3.2.4), updated only at successful chunk writes so a relaunch
-/// replays exactly the uncommitted work.
+/// Section 3.2.4). The resume point is recorded when a chunk write fails:
+/// the failing iteration's starting work-distribution position and the
+/// carried row it started with. A relaunch restores both, so it replays
+/// exactly the iterations an uninterrupted run would — the same cuts, hence
+/// the same partial chunks of rows that outgrow the retain capacity.
+template <class T>
 struct BlockState {
-  /// Work-distribution elements fully represented in written chunks.
-  offset_t committed = 0;
+  /// Work-distribution elements consumed before the resume iteration.
+  offset_t resume_consumed = 0;
+  /// Carried partial row at the resume point: local row id (-1 = none) and
+  /// its compacted columns and values.
+  index_t carry_row = -1;
+  std::vector<index_t> carry_cols;
+  std::vector<T> carry_vals;
   /// Long-row pointer chunks already created (idempotent replay).
   index_t long_rows_done = 0;
   /// Per-block running chunk number (global chunk ordering).
@@ -47,13 +56,13 @@ template <class T>
 EscBlockResult<T> run_esc_block(const Csr<T>& a, const Csr<T>& b,
                                 std::span<const index_t> block_row_starts,
                                 std::size_t block_id, const Config& cfg,
-                                ChunkPool& pool, BlockState& state);
+                                ChunkPool& pool, BlockState<T>& state);
 
 extern template EscBlockResult<float> run_esc_block(
     const Csr<float>&, const Csr<float>&, std::span<const index_t>,
-    std::size_t, const Config&, ChunkPool&, BlockState&);
+    std::size_t, const Config&, ChunkPool&, BlockState<float>&);
 extern template EscBlockResult<double> run_esc_block(
     const Csr<double>&, const Csr<double>&, std::span<const index_t>,
-    std::size_t, const Config&, ChunkPool&, BlockState&);
+    std::size_t, const Config&, ChunkPool&, BlockState<double>&);
 
 }  // namespace acs

@@ -11,13 +11,15 @@
 ///      as if the pool were exhausted, the owning block restarts, and the
 ///      output must come out bit-identical to the clean run.
 ///
-/// A sweep therefore proves the §3.5 restart protocol — `BlockState`
-/// replay in ESC, `windows_done` resumption in Path/Search merge, and
-/// idempotent long-row chunk creation — at *every* interleaving the
-/// allocation sequence admits, not just the ones an undersized pool
-/// happens to produce. tests/test_fault.cpp runs it across generators,
-/// value types and scheduler thread counts; the ASan/TSan CI presets run
-/// it again so replay bugs also surface as sanitizer failures.
+/// A sweep therefore proves the §3.5 restart protocol — ESC relaunches
+/// from the `BlockState` resume point (the failed iteration's start and
+/// carry, so replay cuts iterations where the clean run did),
+/// `windows_done` resumption in Path/Search merge, and idempotent long-row
+/// chunk creation — at *every* interleaving the allocation sequence
+/// admits, not just the ones an undersized pool happens to produce.
+/// tests/test_fault.cpp runs it across generators, value types and
+/// scheduler thread counts; the ASan/TSan CI presets run it again so
+/// replay bugs also surface as sanitizer failures.
 
 #include <cstdint>
 

@@ -1,6 +1,7 @@
 #include "runtime/engine.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "arch/arch.hpp"
 #include "runtime/fingerprint.hpp"
@@ -175,19 +176,21 @@ void Engine<T>::run_job(detail::JobState<T>& job, WorkerContext& ctx) {
     job.cfg.alloc_policy = injected_policy.get();
   }
   try {
+    // Checked before the pool estimate, which indexes B's rows by A's
+    // column ids; the pipeline validates the rest.
+    if (job.a.cols != job.b.rows)
+      throw std::invalid_argument(
+          "engine: dimension mismatch (A.cols != B.rows)");
     const Fingerprint key = fingerprint(job.a, job.b, config_.arch);
     SpgemmPlan plan;
-    const bool hit = config_.use_plan_cache && cache_.lookup(key, plan);
+    const bool hit = cache_.lookup(key, plan);
 
     std::size_t want = plan.pool_bytes
                            ? plan.pool_bytes
                            : estimate_chunk_pool_bytes(job.a, job.b, job.cfg);
-    if (config_.use_pool_arena) {
-      lease = arena_.acquire(want);
-      leased = true;
-      want = lease.bytes;
-    }
-    plan.pool_bytes = want;
+    lease = arena_.acquire(want);
+    leased = true;
+    plan.pool_bytes = lease.bytes;
 
     if (!ctx.scheduler ||
         ctx.scheduler_threads != job.cfg.scheduler_threads) {
@@ -200,19 +203,13 @@ void Engine<T>::run_job(detail::JobState<T>& job, WorkerContext& ctx) {
                                 ctx.scheduler.get());
     result.plan_hit = hit;
     result.pool_reused_bytes = lease.reused_bytes;
-    result.metrics = to_metrics_snapshot(result.stats);
-    if (session) {
-      result.metrics.counters = session->counters_snapshot();
-      result.trace = session;
-    }
+    result.trace = session;
 
-    if (leased) {
-      // The final capacity (including restart growth) becomes the slab.
-      arena_.release(result.stats.pool_bytes);
-      leased = false;
-    }
+    // The final capacity (including restart growth) becomes the slab.
+    arena_.release(result.stats.pool_bytes);
+    leased = false;
 
-    if (config_.use_plan_cache) cache_.store(key, std::move(plan));
+    cache_.store(key, std::move(plan));
   } catch (...) {
     error = std::current_exception();
     if (leased) arena_.release(lease.bytes);
@@ -220,13 +217,19 @@ void Engine<T>::run_job(detail::JobState<T>& job, WorkerContext& ctx) {
     result.error = error;
   }
 
+  // Built outside m_ so the critical section stays a few additions.
+  trace::MetricsSnapshot job_metrics;
+  if (!error) {
+    job_metrics = to_metrics_snapshot(result.stats);
+    if (session) job_metrics.counters = session->counters_snapshot();
+  }
   {
     acs::MutexLock lock(m_);
     ++stats_.jobs_completed;
-    if (error) ++stats_.jobs_failed;
-    stats_.restarts += static_cast<std::size_t>(
-        std::max(0, result.stats.restarts));
-    if (!error) metrics_ += result.metrics;
+    if (error)
+      ++stats_.jobs_failed;
+    else
+      metrics_ += job_metrics;
   }
   // Completion hook before publication: the callback owns the result for
   // its duration (no handle waiter can run until complete()). Moving the

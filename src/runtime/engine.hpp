@@ -52,10 +52,6 @@ struct EngineConfig {
   unsigned workers = 1;
   /// Maximum plans kept by the LRU plan cache.
   std::size_t plan_cache_capacity = 64;
-  /// Reuse load balancing + learned pool sizes across identical patterns.
-  bool use_plan_cache = true;
-  /// Recycle chunk-pool capacity across jobs instead of per-call allocation.
-  bool use_pool_arena = true;
   /// Backend every job executes on (src/arch, docs/BACKENDS.md). The
   /// default `kSimTitanXp` leaves each submitted Config untouched — bit-
   /// and cost-model-compatible with the pre-arch engine. Any other arch is
@@ -80,7 +76,7 @@ struct EngineConfig {
   /// injectors). The engine owns the returned policy for the job's duration.
   /// A policy the caller already placed on the job's own Config wins; a null
   /// return injects nothing for that job. Injected denials surface as
-  /// restarts / pool denials on the job's `JobResult::metrics` and the
+  /// restarts / pool denials on the job's `JobResult::stats` and the
   /// engine-wide `Engine::metrics()` — results stay bit-identical (the
   /// determinism contract extends to injected exhaustion).
   std::function<std::unique_ptr<AllocationPolicy>(std::size_t)>
@@ -97,13 +93,13 @@ struct EngineConfig {
 /// themselves so their predictions see the device the job will run on.
 void apply_arch(Config& cfg, const EngineConfig& ecfg);
 
-/// Aggregate engine statistics (plan and pool details come from
+/// Aggregate engine job counts (per-job numbers such as restarts roll up
+/// in `Engine::metrics()`; plan and pool details come from
 /// `Engine::plan_counters()` / `Engine::arena_counters()`).
 struct EngineStats {
   std::size_t jobs_submitted = 0;
   std::size_t jobs_completed = 0;  ///< includes failed jobs
   std::size_t jobs_failed = 0;
-  std::size_t restarts = 0;        ///< summed over completed jobs
 };
 
 template <class T>
@@ -112,13 +108,10 @@ struct JobResult {
   SpgemmStats stats;
   bool plan_hit = false;             ///< plan served from the cache
   std::size_t pool_reused_bytes = 0; ///< pool request covered by the arena
-  /// Per-job metrics snapshot (always filled on success; stage times come
-  /// from `stats`, the trace counter block from `trace` when attached).
-  trace::MetricsSnapshot metrics;
   /// Engine-owned trace session when `EngineConfig::collect_job_traces` is
   /// set and the job's Config had no session of its own; null otherwise.
   std::shared_ptr<trace::TraceSession> trace;
-  /// Set when the job failed; `c`/`stats`/`metrics` are then default-valued.
+  /// Set when the job failed; `c`/`stats` are then default-valued.
   /// `JobHandle::result()` rethrows it, `multiply_batch` returns it in-place
   /// so one bad pair cannot abandon its siblings' results.
   std::exception_ptr error;
@@ -244,9 +237,10 @@ class Engine {
   void wait_all() ACS_EXCLUDES(m_);
 
   [[nodiscard]] EngineStats stats() const ACS_EXCLUDES(m_);
-  /// Rolling metrics aggregated over every successfully completed job
-  /// (stage sim-time totals, restarts, pool high-water marks, trace
-  /// counters of jobs that ran with a session attached).
+  /// Rolling metrics over every successfully completed job: the sum of
+  /// `to_metrics_snapshot(JobResult::stats)` (stage sim-time totals,
+  /// restarts, pool high-water marks) plus the counters of engine-owned
+  /// trace sessions (`collect_job_traces`).
   [[nodiscard]] trace::MetricsSnapshot metrics() const ACS_EXCLUDES(m_);
   [[nodiscard]] PlanCache::Counters plan_counters() const {
     return cache_.counters();

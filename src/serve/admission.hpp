@@ -38,10 +38,6 @@ enum class AdmissionOutcome {
 /// virtual/simulated seconds from the deterministic admission model.
 struct AdmissionDecision {
   AdmissionOutcome outcome = AdmissionOutcome::kAdmitted;
-  /// True when the request will run with the untuned default plan because
-  /// its fingerprint's tuned plan is still cold (graceful degradation —
-  /// serve now rather than queue behind a tune).
-  bool degraded_plan = false;
   /// Predicted device makespan of this job (tune::predict_makespan_s,
   /// scaled by the configured safety factor).
   double predicted_cost_s = 0.0;

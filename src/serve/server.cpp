@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "core/acspgemm.hpp"
 #include "tune/predictor.hpp"
@@ -73,6 +74,14 @@ std::size_t Server<T>::ensure_tenant_locked(const std::string& name) {
 template <class T>
 ServeHandle<T> Server<T>::submit(Csr<T> a, Csr<T> b, SubmitInfo info,
                                  Config cfg) {
+  // Tenant boundary: pricing below indexes B's rows by A's column ids, so
+  // malformed operands are refused before anything reads them.
+  if (a.cols != b.rows)
+    throw std::invalid_argument("serve: dimension mismatch (A.cols != B.rows)");
+  if (const std::string err = a.validate(); !err.empty())
+    throw std::invalid_argument("serve: invalid A: " + err);
+  if (const std::string err = b.validate(); !err.empty())
+    throw std::invalid_argument("serve: invalid B: " + err);
   auto state = std::make_shared<detail::ServeState<T>>();
   // Price, tune and fingerprint under the backend the engine will actually
   // run: the engine overlays its arch on every submission, so mirror it
@@ -89,8 +98,6 @@ ServeHandle<T> Server<T>::submit(Csr<T> a, Csr<T> b, SubmitInfo info,
 
   const std::size_t tidx = ensure_tenant_locked(info.tenant);
   ++tenants_[tidx].stats.submitted;
-  ++totals_.submitted;
-  ACS_TRACE_COUNT(cfg_.trace, serve_submitted, 1);
 
   // Price the request: features are cached per structure fingerprint (the
   // extraction pass is the expensive part), the closed-form predictor then
@@ -132,12 +139,9 @@ ServeHandle<T> Server<T>::submit(Csr<T> a, Csr<T> b, SubmitInfo info,
     d = admission_.evaluate(arrival, info.deadline_s, raw_cost);
     if (d.admitted()) (void)tr.bucket.try_consume(arrival, scaled_cost);
   }
-  d.degraded_plan = degraded;
   state->decision = d;
 
   if (!d.admitted()) {
-    ++totals_.rejected;
-    ACS_TRACE_COUNT(cfg_.trace, serve_rejected, 1);
     switch (d.outcome) {
       case AdmissionOutcome::kRejectedDeadline:
         ++tr.stats.rejected_deadline;
@@ -163,13 +167,7 @@ ServeHandle<T> Server<T>::submit(Csr<T> a, Csr<T> b, SubmitInfo info,
   }
 
   ++tr.stats.admitted;
-  ++totals_.admitted;
-  ACS_TRACE_COUNT(cfg_.trace, serve_admitted, 1);
-  if (degraded) {
-    ++tr.stats.degraded;
-    ++totals_.degraded;
-    ACS_TRACE_COUNT(cfg_.trace, serve_degraded, 1);
-  }
+  if (degraded) ++tr.stats.degraded;
 
   JobRec rec;
   rec.id = next_id_++;
@@ -190,9 +188,7 @@ ServeHandle<T> Server<T>::submit(Csr<T> a, Csr<T> b, SubmitInfo info,
 
   // Virtual-timeline depth only: the real ready list drains at the
   // engine's pace, which would make the peak depend on worker count.
-  const std::size_t depth = drr_.queued_jobs();
-  if (depth > totals_.queue_depth_peak) totals_.queue_depth_peak = depth;
-  ACS_TRACE_GAUGE_MAX(cfg_.trace, serve_queue_depth_peak, depth);
+  queue_depth_peak_ = std::max(queue_depth_peak_, drr_.queued_jobs());
 
   advance_virtual_locked(arrival);
   pump_locked();
@@ -252,11 +248,7 @@ void Server<T>::advance_virtual_locked(double until_s) {
     rec.deadline_missed = rec.virtual_finish_s > rec.info.deadline_s;
     TenantRuntime& tr = tenants_[rec.tenant];
     tr.stats.served_cost_s += rec.cost_s;
-    if (rec.deadline_missed) {
-      ++tr.stats.deadline_misses;
-      ++totals_.deadline_misses;
-      ACS_TRACE_COUNT(cfg_.trace, serve_deadline_misses, 1);
-    }
+    if (rec.deadline_missed) ++tr.stats.deadline_misses;
 
     const auto slot = std::min_element(vfree_.begin(), vfree_.end());
     const auto e = static_cast<std::size_t>(
@@ -283,10 +275,7 @@ void Server<T>::shed_over_cap_locked() {
 
 template <class T>
 void Server<T>::resolve_shed_locked(JobRec rec) {
-  TenantRuntime& tr = tenants_[rec.tenant];
-  ++tr.stats.shed;
-  ++totals_.shed;
-  ACS_TRACE_COUNT(cfg_.trace, serve_shed, 1);
+  ++tenants_[rec.tenant].stats.shed;
   ServeResult<T> r = make_result_locked(rec, ServeStatus::kShed);
   // The handle's decision stays "admitted" (it was); the result records
   // what ultimately happened.
@@ -350,14 +339,11 @@ void Server<T>::pump_locked() {
             acs::MutexLock lock(m_);
             --outstanding_;
             outstanding_pool_bytes_ -= pool;
-            TenantRuntime& tr = tenants_[tidx];
-            if (job_failed) {
-              ++tr.stats.failed;
-              ++totals_.failed;
-            } else {
-              ++tr.stats.completed;
-              ++totals_.completed;
-            }
+            TenantStats& ts = tenants_[tidx].stats;
+            if (job_failed)
+              ++ts.failed;
+            else
+              ++ts.completed;
             --unresolved_;
             pump_locked();
           }
@@ -375,7 +361,7 @@ TunedParams Server<T>::ensure_tuned_locked(const runtime::Fingerprint& fp) {
     pe.tuned = tune::AutoTuner(cfg_.tuner).choose(pe.features, pe.tune_base,
                                                   sizeof(T));
     pe.tuned_computed = true;
-    ++totals_.tunes;
+    ++tunes_;
   }
   return pe.tuned;
 }
@@ -391,42 +377,26 @@ void Server<T>::drain() {
 template <class T>
 ServeStats Server<T>::stats() const {
   acs::MutexLock lock(m_);
-  ServeStats s = totals_;
-  s.tenants.clear();
+  ServeStats s;
   s.tenants.reserve(tenants_.size());
-  for (const TenantRuntime& tr : tenants_) s.tenants.push_back(tr.stats);
+  for (const TenantRuntime& tr : tenants_) {
+    const TenantStats& t = tr.stats;
+    s.tenants.push_back(t);
+    s.submitted += t.submitted;
+    s.admitted += t.admitted;
+    s.rejected +=
+        t.rejected_deadline + t.rejected_quota + t.rejected_queue_full;
+    s.shed += t.shed;
+    s.completed += t.completed;
+    s.failed += t.failed;
+    s.degraded += t.degraded;
+    s.deadline_misses += t.deadline_misses;
+  }
+  s.tunes = tunes_;
+  s.queue_depth_peak = queue_depth_peak_;
   s.queued_jobs = drr_.queued_jobs() + ready_.size();
   s.in_flight_jobs = outstanding_;
   return s;
-}
-
-template <class T>
-trace::MetricsSnapshot Server<T>::metrics() const {
-  // Engine first, without holding m_ (each side locks only its own mutex).
-  trace::MetricsSnapshot m = engine_->metrics();
-  acs::MutexLock lock(m_);
-  m.counters.serve_submitted = totals_.submitted;
-  m.counters.serve_admitted = totals_.admitted;
-  m.counters.serve_rejected = totals_.rejected;
-  m.counters.serve_shed = totals_.shed;
-  m.counters.serve_degraded = totals_.degraded;
-  m.counters.serve_deadline_misses = totals_.deadline_misses;
-  m.counters.serve_queue_depth_peak = totals_.queue_depth_peak;
-  m.serve_tenants.reserve(tenants_.size());
-  for (const TenantRuntime& tr : tenants_) {
-    trace::TenantServeCounters row;
-    row.tenant = tr.stats.name;
-    row.submitted = tr.stats.submitted;
-    row.admitted = tr.stats.admitted;
-    row.rejected = tr.stats.rejected_deadline + tr.stats.rejected_quota +
-                   tr.stats.rejected_queue_full;
-    row.shed = tr.stats.shed;
-    row.completed = tr.stats.completed;
-    row.degraded = tr.stats.degraded;
-    row.deadline_misses = tr.stats.deadline_misses;
-    m.serve_tenants.push_back(std::move(row));
-  }
-  return m;
 }
 
 template class Server<float>;

@@ -62,8 +62,6 @@
 #include "serve/admission.hpp"
 #include "serve/quota.hpp"
 #include "serve/scheduler.hpp"
-#include "trace/metrics.hpp"
-#include "trace/trace.hpp"
 #include "tune/features.hpp"
 #include "tune/tuner.hpp"
 
@@ -115,8 +113,6 @@ struct ServerConfig {
   /// Real-dispatch lookahead: jobs handed to the engine beyond its worker
   /// count, so a finishing worker never idles waiting for the server.
   std::size_t dispatch_slack = 1;
-  /// Optional sink for the `serve_*` trace counters.
-  trace::TraceSession* trace = nullptr;
 };
 
 /// Terminal state of a submission.
@@ -158,7 +154,7 @@ struct ServeResult {
   double virtual_start_s = 0.0;
   double virtual_finish_s = 0.0;
   /// Virtual finish past the requested deadline (decided at dispatch on
-  /// the deterministic timeline, counted in `serve_deadline_misses`).
+  /// the deterministic timeline, counted in `TenantStats::deadline_misses`).
   bool deadline_missed = false;
   /// Engine result when the job ran (kDone / kFailed); default otherwise.
   runtime::JobResult<T> job;
@@ -265,6 +261,8 @@ struct TenantStats {
   double served_cost_s = 0.0;
 };
 
+/// Server-wide statistics. `submitted` through `deadline_misses` are sums of
+/// the tenant rows (`rejected` folds the three refusal kinds together).
 struct ServeStats {
   std::vector<TenantStats> tenants;
   std::uint64_t submitted = 0;
@@ -301,6 +299,8 @@ class Server {
   /// value — move them in to avoid the copy. Submissions must be made in
   /// arrival order; concurrent callers are serialized, with the
   /// interleaving then defining the trace.
+  /// Throws `std::invalid_argument`, counting nothing, when `a.cols !=
+  /// b.rows` or either operand fails `Csr::validate()`.
   ServeHandle<T> submit(Csr<T> a, Csr<T> b, SubmitInfo info, Config cfg = {})
       ACS_EXCLUDES(m_);
 
@@ -308,9 +308,9 @@ class Server {
   /// block until every admitted job has resolved.
   void drain() ACS_EXCLUDES(m_);
 
+  /// Per-tenant rows plus totals summed from them; per-job pipeline
+  /// numbers are on `engine().metrics()`.
   [[nodiscard]] ServeStats stats() const ACS_EXCLUDES(m_);
-  /// Engine metrics plus the serve counter block and per-tenant rows.
-  [[nodiscard]] trace::MetricsSnapshot metrics() const ACS_EXCLUDES(m_);
   [[nodiscard]] runtime::Engine<T>& engine() { return *engine_; }
   [[nodiscard]] const ServerConfig& config() const { return cfg_; }
 
@@ -395,7 +395,9 @@ class Server {
   std::size_t outstanding_pool_bytes_ ACS_GUARDED_BY(m_) = 0;
   /// Admitted jobs not yet resolved.
   std::size_t unresolved_ ACS_GUARDED_BY(m_) = 0;
-  ServeStats totals_ ACS_GUARDED_BY(m_);
+  /// Server-wide counts that belong to no tenant (see ServeStats).
+  std::uint64_t tunes_ ACS_GUARDED_BY(m_) = 0;
+  std::size_t queue_depth_peak_ ACS_GUARDED_BY(m_) = 0;
 
   /// Constructed last (after every member its completion callbacks touch),
   /// destroyed first.

@@ -64,7 +64,9 @@ BatchBenchResult run_engine_batch(
     r.sim_time_s += jr.stats.sim_time_s;
     r.restarts += static_cast<std::size_t>(std::max(0, jr.stats.restarts));
     r.pool_reused_bytes += jr.pool_reused_bytes;
-    r.metrics += jr.metrics;
+    trace::MetricsSnapshot m = to_metrics_snapshot(jr.stats);
+    if (jr.trace) m.counters = jr.trace->counters_snapshot();
+    r.metrics += m;
     if (jr.plan_hit) ++hits;
   }
   r.plan_hit_rate =

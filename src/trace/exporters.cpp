@@ -129,29 +129,7 @@ void append_counters_json(std::ostringstream& os, const CountersSnapshot& c) {
      << "}, \"merge_windows\": " << c.merge_windows
      << ", \"blocks_executed\": " << c.blocks_executed
      << ", \"block_time_ns_sum\": " << c.block_time_ns_sum
-     << ", \"block_time_ns_max\": " << c.block_time_ns_max
-     << ", \"serve\": {\"submitted\": " << c.serve_submitted
-     << ", \"admitted\": " << c.serve_admitted
-     << ", \"rejected\": " << c.serve_rejected
-     << ", \"shed\": " << c.serve_shed
-     << ", \"degraded\": " << c.serve_degraded
-     << ", \"deadline_misses\": " << c.serve_deadline_misses
-     << ", \"queue_depth_peak\": " << c.serve_queue_depth_peak << "}}";
-}
-
-void append_tenant_rows_json(std::ostringstream& os,
-                             const std::vector<TenantServeCounters>& rows) {
-  os << "[";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const TenantServeCounters& t = rows[i];
-    os << (i ? ", " : "") << "{\"tenant\": \"" << escape(t.tenant)
-       << "\", \"submitted\": " << t.submitted
-       << ", \"admitted\": " << t.admitted << ", \"rejected\": " << t.rejected
-       << ", \"shed\": " << t.shed << ", \"completed\": " << t.completed
-       << ", \"degraded\": " << t.degraded
-       << ", \"deadline_misses\": " << t.deadline_misses << "}";
-  }
-  os << "]";
+     << ", \"block_time_ns_max\": " << c.block_time_ns_max << "}";
 }
 
 }  // namespace
@@ -267,94 +245,8 @@ std::string to_table(const TraceSession& session) {
        << " max_block_us="
        << fmt(static_cast<double>(c.block_time_ns_max) / 1e3);
   }
-  // Serving-layer block, only when a server actually fed this session —
-  // plain multiplications keep their table unchanged.
-  if (c.serve_submitted > 0) {
-    os << "\n          serve submitted/admitted/rejected/shed="
-       << c.serve_submitted << "/" << c.serve_admitted << "/"
-       << c.serve_rejected << "/" << c.serve_shed
-       << " degraded=" << c.serve_degraded
-       << " deadline_misses=" << c.serve_deadline_misses
-       << " queue_peak=" << c.serve_queue_depth_peak;
-  }
   os << "\n";
   return os.str();
-}
-
-std::string to_table(const MetricsSnapshot& m) {
-  std::ostringstream os;
-  const CountersSnapshot& c = m.counters;
-  os << "serve: submitted=" << c.serve_submitted
-     << " admitted=" << c.serve_admitted << " rejected=" << c.serve_rejected
-     << " shed=" << c.serve_shed << " degraded=" << c.serve_degraded
-     << " deadline_misses=" << c.serve_deadline_misses
-     << " queue_peak=" << c.serve_queue_depth_peak << "\n";
-  if (m.serve_tenants.empty()) return os.str();
-
-  std::size_t name_width = 6;
-  for (const TenantServeCounters& t : m.serve_tenants)
-    name_width = std::max(name_width, t.tenant.size());
-  char line[200];
-  std::snprintf(line, sizeof(line), "%-*s %9s %9s %9s %6s %9s %9s %7s\n",
-                static_cast<int>(name_width), "tenant", "submitted",
-                "admitted", "rejected", "shed", "completed", "degraded",
-                "misses");
-  os << line;
-  for (const TenantServeCounters& t : m.serve_tenants) {
-    std::snprintf(line, sizeof(line),
-                  "%-*s %9llu %9llu %9llu %6llu %9llu %9llu %7llu\n",
-                  static_cast<int>(name_width), t.tenant.c_str(),
-                  static_cast<unsigned long long>(t.submitted),
-                  static_cast<unsigned long long>(t.admitted),
-                  static_cast<unsigned long long>(t.rejected),
-                  static_cast<unsigned long long>(t.shed),
-                  static_cast<unsigned long long>(t.completed),
-                  static_cast<unsigned long long>(t.degraded),
-                  static_cast<unsigned long long>(t.deadline_misses));
-    os << line;
-  }
-  return os.str();
-}
-
-std::string to_flat_json(const MetricsSnapshot& m) {
-  std::ostringstream os;
-  os << "{\n  \"jobs\": " << m.jobs
-     << ",\n  \"sim_time_s\": " << fmt(m.sim_time_s)
-     << ",\n  \"stage_sim_s\": {";
-  for (std::size_t i = 0; i < kNumStages; ++i)
-    os << (i ? ", " : "") << "\"" << kStageNames[i]
-       << "\": " << fmt(m.stage_sim_time_s[i]);
-  os << "},\n  \"restarts\": " << m.restarts
-     << ",\n  \"counters\": ";
-  append_counters_json(os, m.counters);
-  os << ",\n  \"serve_tenants\": ";
-  append_tenant_rows_json(os, m.serve_tenants);
-  os << "\n}\n";
-  return os.str();
-}
-
-MetricsSnapshot session_metrics(const TraceSession& session) {
-  const std::vector<SpanRecord> spans = session.spans();
-  MetricsSnapshot m;
-  m.stage_sim_time_s = sim_stage_totals(spans);
-  for (const SpanRecord& s : spans) {
-    m.sim_time_s += s.sim_time_s;
-    if (s.parent == kNoSpan) {
-      ++m.jobs;
-      m.wall_time_s += s.end_s - s.start_s;
-    }
-  }
-  m.counters = session.counters_snapshot();
-  m.restarts = m.counters.restarts;
-  m.esc_iterations = m.counters.esc_iterations;
-  m.chunks_created = m.counters.chunks_written;
-  m.long_row_chunks = m.counters.long_row_chunks;
-  m.merged_rows = m.counters.merge_case_rows[0] + m.counters.merge_case_rows[1] +
-                  m.counters.merge_case_rows[2];
-  m.pool_bytes = m.counters.pool_capacity_bytes;
-  m.pool_used_bytes = m.counters.pool_used_bytes;
-  m.pool_estimate_bytes = m.counters.pool_estimate_bytes;
-  return m;
 }
 
 }  // namespace acs::trace

@@ -31,20 +31,10 @@ struct ExportOptions {
                                        const ExportOptions& opts = {});
 [[nodiscard]] std::string to_table(const TraceSession& session);
 
-/// Serving-layer view of a `MetricsSnapshot` (serve::Server::metrics()):
-/// the aggregate serve counters plus one row per tenant. Deterministic —
-/// no wall-clock fields — so both are golden-testable.
-[[nodiscard]] std::string to_table(const MetricsSnapshot& m);
-[[nodiscard]] std::string to_flat_json(const MetricsSnapshot& m);
-
 /// Simulated time summed per canonical stage (see `kStageNames`) over all
 /// spans that are `root` or descendants of `root`; `root == kNoSpan` sums
 /// the whole session.
 [[nodiscard]] std::array<double, kNumStages> sim_stage_totals(
     const std::vector<SpanRecord>& spans, SpanId root = kNoSpan);
-
-/// Stage totals, pipeline counters and span-derived wall/sim sums of a
-/// session, as one aggregatable snapshot (jobs is the number of root spans).
-[[nodiscard]] MetricsSnapshot session_metrics(const TraceSession& session);
 
 }  // namespace acs::trace

@@ -26,22 +26,6 @@ MetricsSnapshot& MetricsSnapshot::operator+=(const MetricsSnapshot& o) {
   pool_used_bytes = std::max(pool_used_bytes, o.pool_used_bytes);
   pool_estimate_bytes = std::max(pool_estimate_bytes, o.pool_estimate_bytes);
   counters += o.counters;
-  for (const TenantServeCounters& row : o.serve_tenants) {
-    auto it = std::find_if(
-        serve_tenants.begin(), serve_tenants.end(),
-        [&](const TenantServeCounters& t) { return t.tenant == row.tenant; });
-    if (it == serve_tenants.end()) {
-      serve_tenants.push_back(row);
-      continue;
-    }
-    it->submitted += row.submitted;
-    it->admitted += row.admitted;
-    it->rejected += row.rejected;
-    it->shed += row.shed;
-    it->completed += row.completed;
-    it->degraded += row.degraded;
-    it->deadline_misses += row.deadline_misses;
-  }
   return *this;
 }
 

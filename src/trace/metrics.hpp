@@ -1,17 +1,15 @@
 #pragma once
 /// \file metrics.hpp
-/// Aggregatable per-job / per-engine metrics built from traces and
-/// `SpgemmStats`. A `MetricsSnapshot` is the flat, copyable summary the
+/// Aggregatable per-job / per-engine metrics built from `SpgemmStats`
+/// (`to_metrics_snapshot`) plus, when tracing was live, the session's trace
+/// counters. A `MetricsSnapshot` is the flat, copyable summary the
 /// runtime Engine rolls up across workers and the benches print their
 /// breakdowns from: per-stage simulated time keyed by the canonical stage
-/// order (Fig. 7's GLB/ESC/MCC/MM/PM/SM/CC), pipeline counters, and the
-/// session's trace counters when tracing was live.
+/// order (Fig. 7's GLB/ESC/MCC/MM/PM/SM/CC) and pipeline counters.
 
 #include <array>
 #include <cstdint>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "trace/trace.hpp"
 
@@ -25,22 +23,6 @@ inline constexpr std::size_t kNumStages = kStageNames.size();
 
 /// Index of `name` in `kStageNames`, or -1 for non-stage span names.
 [[nodiscard]] int stage_index(std::string_view name);
-
-/// Per-tenant admission/dispatch counters of the serving layer
-/// (src/serve). Aggregation merges rows by tenant name.
-struct TenantServeCounters {
-  std::string tenant;
-  std::uint64_t submitted = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;  ///< deadline + quota + queue-full refusals
-  std::uint64_t shed = 0;      ///< admitted, dropped under memory pressure
-  std::uint64_t completed = 0;
-  std::uint64_t degraded = 0;  ///< admitted inside the tune latency
-  std::uint64_t deadline_misses = 0;
-
-  friend bool operator==(const TenantServeCounters&,
-                         const TenantServeCounters&) = default;
-};
 
 struct MetricsSnapshot {
   std::uint64_t jobs = 0;
@@ -62,11 +44,7 @@ struct MetricsSnapshot {
   /// pool_used_bytes this is the estimate error the trace exporters show.
   std::uint64_t pool_estimate_bytes = 0;
   /// Trace counters aggregated over jobs; all-zero when tracing was off.
-  /// The `serve_*` block is filled by `serve::Server::metrics()`.
   CountersSnapshot counters;
-  /// Per-tenant serving counters (empty outside the serving layer); `+=`
-  /// merges rows by tenant name, appending unseen tenants in order.
-  std::vector<TenantServeCounters> serve_tenants;
 
   MetricsSnapshot& operator+=(const MetricsSnapshot& o);
 

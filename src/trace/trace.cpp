@@ -23,14 +23,6 @@ CountersSnapshot& CountersSnapshot::operator+=(const CountersSnapshot& o) {
   blocks_executed += o.blocks_executed;
   block_time_ns_sum += o.block_time_ns_sum;
   block_time_ns_max = std::max(block_time_ns_max, o.block_time_ns_max);
-  serve_submitted += o.serve_submitted;
-  serve_admitted += o.serve_admitted;
-  serve_rejected += o.serve_rejected;
-  serve_shed += o.serve_shed;
-  serve_degraded += o.serve_degraded;
-  serve_deadline_misses += o.serve_deadline_misses;
-  serve_queue_depth_peak =
-      std::max(serve_queue_depth_peak, o.serve_queue_depth_peak);
   return *this;
 }
 
@@ -58,13 +50,6 @@ CountersSnapshot Counters::snapshot() const {
   s.blocks_executed = get(blocks_executed);
   s.block_time_ns_sum = get(block_time_ns_sum);
   s.block_time_ns_max = get(block_time_ns_max);
-  s.serve_submitted = get(serve_submitted);
-  s.serve_admitted = get(serve_admitted);
-  s.serve_rejected = get(serve_rejected);
-  s.serve_shed = get(serve_shed);
-  s.serve_degraded = get(serve_degraded);
-  s.serve_deadline_misses = get(serve_deadline_misses);
-  s.serve_queue_depth_peak = get(serve_queue_depth_peak);
   return s;
 }
 

@@ -72,22 +72,14 @@ struct CountersSnapshot {
   std::uint64_t blocks_executed = 0;
   std::uint64_t block_time_ns_sum = 0;
   std::uint64_t block_time_ns_max = 0;
-  // Serving layer (src/serve): admission and dispatch traffic.
-  std::uint64_t serve_submitted = 0;
-  std::uint64_t serve_admitted = 0;
-  std::uint64_t serve_rejected = 0;  ///< deadline + quota + queue-full refusals
-  std::uint64_t serve_shed = 0;      ///< admitted, dropped under memory pressure
-  std::uint64_t serve_degraded = 0;  ///< admitted inside the tune latency
-  std::uint64_t serve_deadline_misses = 0;  ///< virtual finish past deadline
-  std::uint64_t serve_queue_depth_peak = 0;  ///< gauge: DRR-queued jobs
 
   CountersSnapshot& operator+=(const CountersSnapshot& o);
 };
 
 /// Live counter set: relaxed atomics, safe to bump from any thread. Gauges
 /// (`*_capacity_bytes`, `*_used_bytes`, `pool_estimate_bytes`,
-/// `block_time_ns_max`, `serve_queue_depth_peak`) keep the maximum observed
-/// value; everything else accumulates.
+/// `block_time_ns_max`) keep the maximum observed value; everything else
+/// accumulates.
 struct Counters {
   std::atomic<std::uint64_t> pool_alloc_bytes{0};
   std::atomic<std::uint64_t> pool_denials{0};
@@ -105,13 +97,6 @@ struct Counters {
   std::atomic<std::uint64_t> blocks_executed{0};
   std::atomic<std::uint64_t> block_time_ns_sum{0};
   std::atomic<std::uint64_t> block_time_ns_max{0};
-  std::atomic<std::uint64_t> serve_submitted{0};
-  std::atomic<std::uint64_t> serve_admitted{0};
-  std::atomic<std::uint64_t> serve_rejected{0};
-  std::atomic<std::uint64_t> serve_shed{0};
-  std::atomic<std::uint64_t> serve_degraded{0};
-  std::atomic<std::uint64_t> serve_deadline_misses{0};
-  std::atomic<std::uint64_t> serve_queue_depth_peak{0};
 
   /// Record one ESC block execution of `iterations` local iterations.
   void record_esc_block(std::uint64_t iterations) {

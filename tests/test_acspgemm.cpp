@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <stdexcept>
 
 #include "baselines/spa_gustavson.hpp"
 #include "matrix/coo.hpp"
@@ -15,6 +16,7 @@ namespace acs {
 namespace {
 
 using testutil::quantize;
+using testutil::single_entry;
 
 /// AC-SpGEMM vs the Gustavson oracle, with quantized values so that any
 /// accumulation order gives bit-identical sums (see test_util.hpp).
@@ -164,6 +166,16 @@ TEST(AcSpgemm, IdentityIsNeutral) {
 TEST(AcSpgemm, DimensionMismatchThrows) {
   const auto a = gen_uniform_random<double>(10, 20, 3.0, 1.0, 26);
   EXPECT_THROW(multiply(a, a), std::invalid_argument);
+}
+
+TEST(AcSpgemm, SampledPoolSizingChecksDimensionsFirst) {
+  // The sampled estimate indexes B's rows by A's column ids, so the
+  // dimension check has to run before it.
+  const auto b = gen_uniform_random<double>(8, 8, 3.0, 1.0, 29);
+  const auto a = single_entry<double>(4, 9, 8);
+  Config cfg;
+  cfg.pool_sizing = PoolSizing::kSampled;
+  EXPECT_THROW(multiply(a, b, cfg), std::invalid_argument);
 }
 
 TEST(AcSpgemm, BadConfigThrows) {

@@ -48,6 +48,22 @@ TEST(Determinism, IndependentOfRestarts) {
   const auto c_tight = multiply(m, m, tight, &stats);
   EXPECT_GT(stats.restarts, 0);
   EXPECT_TRUE(multiply(m, m, roomy).equals_exact(c_tight));
+
+  // R-MAT hub rows outgrow the retain capacity and are written as partial
+  // chunks: a relaunch that cut its iterations anywhere else than the
+  // uninterrupted run would split those rows into different segment sums.
+  const auto r = gen_rmat<double>(11, 16.0, 0.57, 0.19, 0.19, 7);
+  for (const unsigned threads : {1u, 4u}) {
+    Config roomy_r, tight_r;
+    roomy_r.scheduler_threads = tight_r.scheduler_threads = threads;
+    tight_r.pool_override_bytes = 16 * 1024;
+    SpgemmStats roomy_stats, tight_stats;
+    const auto c_roomy = multiply(r, r, roomy_r, &roomy_stats);
+    const auto c_tight_r = multiply(r, r, tight_r, &tight_stats);
+    EXPECT_EQ(roomy_stats.restarts, 0) << threads << " threads";
+    EXPECT_GT(tight_stats.restarts, 0) << threads << " threads";
+    EXPECT_TRUE(c_roomy.equals_exact(c_tight_r)) << threads << " threads";
+  }
 }
 
 TEST(Determinism, EachBlockShapeIsInternallyBitStable) {

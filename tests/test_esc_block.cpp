@@ -7,8 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "core/acspgemm.hpp"
 #include "fault/policies.hpp"
@@ -46,7 +47,7 @@ TEST(EscBlock, SingleBlockProducesSortedCompleteChunks) {
   const auto a = gen_uniform_random<double>(8, 8, 2.0, 0.0, 400);
   const auto starts = glb(a, cfg);
   ChunkPool pool(1 << 20);
-  BlockState state;
+  BlockState<double> state;
   const auto res = run_esc_block<double>(a, a, starts, 0, cfg, pool, state);
   EXPECT_TRUE(state.finished);
   EXPECT_FALSE(res.needs_restart);
@@ -68,7 +69,7 @@ TEST(EscBlock, ChunkCountersAreSequential) {
   const auto cfg = tiny_config();
   const auto a = gen_uniform_random<double>(16, 16, 4.0, 1.0, 401);
   ChunkPool pool(1 << 20);
-  BlockState state;
+  BlockState<double> state;
   const auto res =
       run_esc_block<double>(a, a, glb(a, cfg), 0, cfg, pool, state);
   for (std::size_t i = 0; i < res.chunks.size(); ++i) {
@@ -94,7 +95,7 @@ TEST(EscBlock, LongRowsBecomePointerChunks) {
   const auto b = bcoo.to_csr();
 
   ChunkPool pool(1 << 20);
-  BlockState state;
+  BlockState<double> state;
   const auto res = run_esc_block<double>(a, b, glb(a, cfg), 0, cfg, pool, state);
   int pointer_chunks = 0;
   for (const auto& chunk : res.chunks) {
@@ -116,13 +117,13 @@ TEST(EscBlock, RestartResumesWithoutDuplicatingChunks) {
 
   // Reference run with an ample pool.
   ChunkPool big(1 << 20);
-  BlockState ref_state;
+  BlockState<double> ref_state;
   const auto ref = run_esc_block<double>(a, a, starts, 0, cfg, big, ref_state);
 
   // Constrained run: pool that fits only part of the output, grown until
   // the block completes — the pipeline's restart loop in miniature.
   ChunkPool small(256);
-  BlockState state;
+  BlockState<double> state;
   std::vector<Chunk<double>> chunks;
   int restarts = 0;
   for (;;) {
@@ -149,13 +150,11 @@ TEST(EscBlock, RestartResumesWithoutDuplicatingChunks) {
 }
 
 TEST(EscBlock, InjectedDenialAtEveryAllocationPreservesOutput) {
-  // Pins the `committed` invariant (DESIGN.md §8, ISSUE 3 satellite): the
-  // block advances `state.committed` exactly once per chunk write, to the
-  // consumed count minus any carried row's sources. Denying each allocation
-  // attempt in turn forces a restart at every commit boundary — including
-  // right between a chunk write and the carry handling, the spot where the
-  // old duplicated `committed` assignment lived — and replay must reproduce
-  // the clean run's per-(row, col) partial sums bit-for-bit.
+  // Pins the resume-point invariant (DESIGN.md §8): a failed chunk write
+  // records its iteration's start and carry, and the relaunch replays from
+  // there. Denying each allocation attempt in turn forces a restart at every
+  // chunk boundary, and the replay must reproduce the clean run's chunks
+  // exactly — same row cuts, same partial sums, bit for bit.
   Config cfg = tiny_config();
   cfg.elements_per_thread = 2;  // capacity 32: many local iterations
   cfg.retain_per_thread = 1;
@@ -167,7 +166,7 @@ TEST(EscBlock, InjectedDenialAtEveryAllocationPreservesOutput) {
   ChunkPool clean_pool(1 << 20);
   fault::CountingPolicy counting;
   clean_pool.set_policy(&counting);
-  BlockState clean_state;
+  BlockState<double> clean_state;
   const auto ref =
       run_esc_block<double>(a, a, starts, 0, cfg, clean_pool, clean_state);
   ASSERT_TRUE(clean_state.finished);
@@ -175,24 +174,21 @@ TEST(EscBlock, InjectedDenialAtEveryAllocationPreservesOutput) {
   const std::uint64_t points = counting.attempts();
   ASSERT_GE(points, 3u);  // several commit boundaries to inject between
 
-  // Accumulating partials in chunk order reproduces the global product-order
-  // sum, so equal maps mean bit-identical values, not just equal structure.
-  const auto sums_of = [](const std::vector<Chunk<double>>& chunks) {
-    std::map<std::pair<index_t, index_t>, double> sums;
+  const auto layout_of = [](const std::vector<Chunk<double>>& chunks) {
+    std::vector<std::tuple<std::vector<index_t>, std::vector<index_t>,
+                           std::vector<index_t>, std::vector<double>>>
+        layout;
     for (const auto& c : chunks)
-      for (std::size_t r = 0; r < c.rows.size(); ++r)
-        for (index_t k = c.row_offsets[r]; k < c.row_offsets[r + 1]; ++k)
-          sums[{c.rows[r], c.cols[static_cast<std::size_t>(k)]}] +=
-              c.vals[static_cast<std::size_t>(k)];
-    return sums;
+      layout.emplace_back(c.rows, c.row_offsets, c.cols, c.vals);
+    return layout;
   };
-  const auto ref_sums = sums_of(ref.chunks);
+  const auto ref_layout = layout_of(ref.chunks);
 
   for (std::uint64_t i = 0; i < points; ++i) {
     ChunkPool pool(1 << 20);  // ample: the only denial is the injected one
     fault::DenyNthPolicy deny(i);
     pool.set_policy(&deny);
-    BlockState state;
+    BlockState<double> state;
     std::vector<Chunk<double>> chunks;
     int restarts = 0;
     for (;;) {
@@ -204,7 +200,7 @@ TEST(EscBlock, InjectedDenialAtEveryAllocationPreservesOutput) {
     }
     EXPECT_EQ(restarts, 1) << "denied attempt " << i;
     EXPECT_TRUE(state.finished) << "denied attempt " << i;
-    EXPECT_EQ(sums_of(chunks), ref_sums) << "denied attempt " << i;
+    EXPECT_EQ(layout_of(chunks), ref_layout) << "denied attempt " << i;
   }
 }
 
@@ -214,7 +210,7 @@ TEST(EscBlock, EmptyBlockFinishesImmediately) {
   a.rows = a.cols = 4;
   a.row_ptr.assign(5, 0);
   ChunkPool pool(1 << 20);
-  BlockState state;
+  BlockState<double> state;
   const auto res = run_esc_block<double>(a, a, {}, 0, cfg, pool, state);
   EXPECT_TRUE(state.finished);
   EXPECT_TRUE(res.chunks.empty());
@@ -225,7 +221,7 @@ TEST(EscBlock, RetainZeroWritesEveryIteration) {
   cfg.retain_per_thread = 0;
   const auto a = gen_uniform_random<double>(32, 32, 6.0, 1.0, 403);
   ChunkPool pool(1 << 20);
-  BlockState state;
+  BlockState<double> state;
   const auto res =
       run_esc_block<double>(a, a, glb(a, cfg), 0, cfg, pool, state);
   // Without retention every iteration flushes: at least one chunk per

@@ -109,7 +109,7 @@ TEST(FaultPolicies, PoolSeparatesInjectedFromCapacityDenials) {
 
 /// Multi-iteration ESC shape: tiny per-thread resources force many local
 /// iterations per block with carried rows, so denials land on mid-iteration
-/// boundaries (the `committed` replay path).
+/// boundaries (the resume-point replay path).
 Config multi_iteration_config() {
   Config cfg;
   cfg.threads = 32;

@@ -15,6 +15,7 @@
 #include "runtime/fingerprint.hpp"
 #include "runtime/plan_cache.hpp"
 #include "runtime/pool_arena.hpp"
+#include "test_util.hpp"
 
 namespace acs::runtime {
 namespace {
@@ -358,8 +359,9 @@ TEST(Engine, MetricsAggregateAcrossWorkers) {
     ASSERT_FALSE(r.failed());
     sim += r.stats.sim_time_s;
     chunks += r.stats.chunks_created;
-    for (double t : r.metrics.stage_sim_time_s) per_job_stage += t;
-    EXPECT_EQ(r.metrics.jobs, 1u);
+    const trace::MetricsSnapshot job = to_metrics_snapshot(r.stats);
+    for (double t : job.stage_sim_time_s) per_job_stage += t;
+    EXPECT_EQ(job.jobs, 1u);
   }
   EXPECT_NEAR(m.sim_time_s, sim, 1e-12);
   EXPECT_EQ(m.chunks_created, chunks);
@@ -384,8 +386,14 @@ TEST(Engine, CollectJobTracesAttachesSessionPerJob) {
   ASSERT_NE(r2.trace, nullptr);
   EXPECT_NE(r1.trace, r2.trace);  // one session per job, counters not shared
   EXPECT_GT(r1.trace->span_count(), 0u);
-  EXPECT_EQ(r1.metrics.counters.chunks_written, r1.stats.chunks_created);
-  EXPECT_EQ(r2.metrics.counters.chunks_written, r2.stats.chunks_created);
+  EXPECT_EQ(r1.trace->counters_snapshot().chunks_written,
+            r1.stats.chunks_created);
+  EXPECT_EQ(r2.trace->counters_snapshot().chunks_written,
+            r2.stats.chunks_created);
+  // The engine rollup carries the counters of its own sessions.
+  engine.wait_all();
+  EXPECT_EQ(engine.metrics().counters.chunks_written,
+            r1.stats.chunks_created + r2.stats.chunks_created);
   EXPECT_TRUE(r1.c.equals_exact(r2.c));
 
   // Results are unaffected by tracing.
@@ -440,6 +448,20 @@ TEST(Engine, FailedJobRethrowsAndEngineKeepsWorking) {
   EXPECT_EQ(engine.stats().jobs_completed, 2u);
 }
 
+TEST(Engine, SampledPoolSizingChecksDimensionsFirst) {
+  // A cold job prices its pool before the pipeline runs; the dimension
+  // check must come first, and the failure lands on the job.
+  const auto b = gen_uniform_random<double>(8, 8, 3.0, 1.0, 64);
+  const auto a = testutil::single_entry<double>(4, 9, 8);
+  Config cfg;
+  cfg.pool_sizing = PoolSizing::kSampled;
+  Engine<double> engine;
+  const auto results = engine.multiply_batch({{a, b}}, cfg);
+  ASSERT_TRUE(results[0].failed());
+  EXPECT_THROW(std::rethrow_exception(results[0].error),
+               std::invalid_argument);
+}
+
 TEST(Engine, BatchWithThrowingJobFailsOnlyThatJob) {
   // Regression: multiply_batch used to rethrow the first failing job's
   // exception, abandoning every later job's result (and, with handles
@@ -474,20 +496,6 @@ TEST(Engine, BatchWithThrowingJobFailsOnlyThatJob) {
   EXPECT_TRUE(h.result().c.equals_exact(results[0].c));
   engine.wait_all();
   EXPECT_EQ(engine.metrics().jobs, 3u);  // failed job excluded from metrics
-}
-
-TEST(Engine, CacheAndArenaCanBeDisabled) {
-  const auto a = gen_uniform_random<double>(200, 200, 5.0, 1.0, 81);
-  EngineConfig ec;
-  ec.use_plan_cache = false;
-  ec.use_pool_arena = false;
-  Engine<double> engine(ec);
-  auto h1 = engine.submit(a, a);
-  auto h2 = engine.submit(a, a);
-  EXPECT_TRUE(h1.result().c.equals_exact(h2.result().c));
-  EXPECT_FALSE(h2.result().plan_hit);
-  EXPECT_EQ(engine.plan_counters().hits + engine.plan_counters().misses, 0u);
-  EXPECT_EQ(engine.arena_counters().acquires, 0u);
 }
 
 TEST(Engine, DestructorDrainsQueuedJobsBeforeStopping) {

@@ -181,10 +181,7 @@ TEST(Exporters, FlatJsonGolden) {
       "\"chunks_written\": 0, \"long_row_chunks\": 0, "
       "\"merge_case_rows\": {\"multi\": 0, \"path\": 0, \"search\": 0}, "
       "\"merge_windows\": 0, \"blocks_executed\": 0, "
-      "\"block_time_ns_sum\": 0, \"block_time_ns_max\": 0, "
-      "\"serve\": {\"submitted\": 0, \"admitted\": 0, \"rejected\": 0, "
-      "\"shed\": 0, \"degraded\": 0, \"deadline_misses\": 0, "
-      "\"queue_depth_peak\": 0}}\n"
+      "\"block_time_ns_sum\": 0, \"block_time_ns_max\": 0}\n"
       "}\n";
   EXPECT_EQ(to_flat_json(golden_session(), o), expected);
 }
@@ -220,20 +217,6 @@ TEST(Exporters, SimStageTotalsFiltersBySubtree) {
   EXPECT_DOUBLE_EQ(only1[static_cast<std::size_t>(stage_index("ESC"))], 1.0);
 }
 
-TEST(Metrics, SessionMetricsCountsRootsAndStages) {
-  TraceSession s;
-  for (int j = 0; j < 3; ++j) {
-    const SpanId root = s.begin_span("multiply");
-    const SpanId esc = s.begin_span("ESC");
-    s.end_span(esc, 0.5);
-    s.end_span(root);
-  }
-  const MetricsSnapshot m = session_metrics(s);
-  EXPECT_EQ(m.jobs, 3u);
-  EXPECT_DOUBLE_EQ(m.stage_sim_time_s[static_cast<std::size_t>(stage_index("ESC"))],
-                   1.5);
-}
-
 TEST(Metrics, SnapshotAggregationSumsCountsAndMaxesGauges) {
   MetricsSnapshot a;
   a.jobs = 1;
@@ -250,97 +233,6 @@ TEST(Metrics, SnapshotAggregationSumsCountsAndMaxesGauges) {
   EXPECT_DOUBLE_EQ(a.sim_time_s, 1.5);
   EXPECT_EQ(a.restarts, 3u);
   EXPECT_EQ(a.pool_bytes, 100u);  // high-water gauge, not summed
-}
-
-TEST(Metrics, ServeCountersSumAndGaugeAcrossSnapshots) {
-  CountersSnapshot a;
-  a.serve_submitted = 10;
-  a.serve_admitted = 7;
-  a.serve_rejected = 2;
-  a.serve_shed = 1;
-  a.serve_degraded = 3;
-  a.serve_deadline_misses = 1;
-  a.serve_queue_depth_peak = 5;
-  CountersSnapshot b;
-  b.serve_submitted = 4;
-  b.serve_admitted = 4;
-  b.serve_queue_depth_peak = 9;
-  a += b;
-  EXPECT_EQ(a.serve_submitted, 14u);
-  EXPECT_EQ(a.serve_admitted, 11u);
-  EXPECT_EQ(a.serve_rejected, 2u);
-  EXPECT_EQ(a.serve_shed, 1u);
-  EXPECT_EQ(a.serve_degraded, 3u);
-  EXPECT_EQ(a.serve_deadline_misses, 1u);
-  EXPECT_EQ(a.serve_queue_depth_peak, 9u);  // gauge: max, not sum
-
-  // The live-counter snapshot carries the serve block too.
-  Counters live;
-  live.serve_admitted.fetch_add(2);
-  Counters::raise(live.serve_queue_depth_peak, 3);
-  const CountersSnapshot s = live.snapshot();
-  EXPECT_EQ(s.serve_admitted, 2u);
-  EXPECT_EQ(s.serve_queue_depth_peak, 3u);
-}
-
-TEST(Metrics, TenantServeRowsMergeByName) {
-  MetricsSnapshot a;
-  a.serve_tenants.push_back({"alpha", 5, 4, 1, 0, 4, 1, 0});
-  a.serve_tenants.push_back({"beta", 2, 2, 0, 0, 2, 0, 0});
-  MetricsSnapshot b;
-  b.serve_tenants.push_back({"beta", 3, 1, 2, 1, 1, 0, 1});
-  b.serve_tenants.push_back({"gamma", 1, 1, 0, 0, 1, 0, 0});
-  a += b;
-  ASSERT_EQ(a.serve_tenants.size(), 3u);
-  EXPECT_EQ(a.serve_tenants[0].tenant, "alpha");
-  EXPECT_EQ(a.serve_tenants[1].tenant, "beta");
-  EXPECT_EQ(a.serve_tenants[1].submitted, 5u);
-  EXPECT_EQ(a.serve_tenants[1].rejected, 2u);
-  EXPECT_EQ(a.serve_tenants[1].shed, 1u);
-  EXPECT_EQ(a.serve_tenants[1].deadline_misses, 1u);
-  EXPECT_EQ(a.serve_tenants[2].tenant, "gamma");
-}
-
-TEST(Exporters, ServeMetricsTableAndJsonGolden) {
-  MetricsSnapshot m;
-  m.jobs = 2;
-  m.counters.serve_submitted = 3;
-  m.counters.serve_admitted = 2;
-  m.counters.serve_rejected = 1;
-  m.counters.serve_queue_depth_peak = 2;
-  m.serve_tenants.push_back({"alpha", 2, 2, 0, 0, 2, 1, 0});
-  m.serve_tenants.push_back({"beta", 1, 0, 1, 0, 0, 0, 0});
-
-  const std::string table = to_table(m);
-  EXPECT_NE(table.find("serve: submitted=3 admitted=2 rejected=1"),
-            std::string::npos);
-  EXPECT_NE(table.find("alpha"), std::string::npos);
-  EXPECT_NE(table.find("beta"), std::string::npos);
-
-  const std::string json = to_flat_json(m);
-  EXPECT_NE(json.find("\"serve\": {\"submitted\": 3, \"admitted\": 2, "
-                      "\"rejected\": 1, \"shed\": 0, \"degraded\": 0, "
-                      "\"deadline_misses\": 0, \"queue_depth_peak\": 2}"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"serve_tenants\": [{\"tenant\": \"alpha\", "
-                      "\"submitted\": 2, \"admitted\": 2, \"rejected\": 0, "
-                      "\"shed\": 0, \"completed\": 2, \"degraded\": 1, "
-                      "\"deadline_misses\": 0}, {\"tenant\": \"beta\", "
-                      "\"submitted\": 1, \"admitted\": 0, \"rejected\": 1, "
-                      "\"shed\": 0, \"completed\": 0, \"degraded\": 0, "
-                      "\"deadline_misses\": 0}]"),
-            std::string::npos);
-}
-
-TEST(Exporters, SessionTableShowsServeBlockOnlyWhenServing) {
-  EXPECT_EQ(to_table(golden_session()).find("serve "), std::string::npos);
-  TraceSession s;
-  s.begin_span("noop");
-  s.counters().serve_submitted.fetch_add(2);
-  s.counters().serve_admitted.fetch_add(1);
-  const std::string table = to_table(s);
-  EXPECT_NE(table.find("serve submitted/admitted/rejected/shed=2/1/0/0"),
-            std::string::npos);
 }
 
 TEST(Metrics, StageIndexMatchesCanonicalOrder) {

@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -164,14 +165,14 @@ TEST(Tune, FeedbackRestartsMonotonicallyNonIncreasing) {
   ec.workers = 2;
   acs::runtime::Engine<float> engine(ec);
 
-  std::size_t prev = 0;
+  std::uint64_t prev = 0;
   for (int pass = 0; pass < 4; ++pass) {
-    const auto before = engine.stats().restarts;
+    const std::uint64_t before = engine.metrics().restarts;
     const auto results = engine.multiply_batch(pairs, cfg);
     for (const auto& r : results) {
       ASSERT_FALSE(r.failed());
     }
-    const std::size_t this_pass = engine.stats().restarts - before;
+    const std::uint64_t this_pass = engine.metrics().restarts - before;
     if (pass > 0) {
       EXPECT_LE(this_pass, prev) << "pass " << pass;
     }

@@ -20,4 +20,20 @@ Csr<T> quantize(Csr<T> m) {
   return m;
 }
 
+/// A `rows`×`cols` matrix with a single entry at (0, `col`). With `col`
+/// equal to B's row count it is a valid A whose first column id is one row
+/// past the end of B — the first entry the sampled pool estimate and the
+/// tuner's feature pass look up in B.
+template <class T>
+Csr<T> single_entry(index_t rows, index_t cols, index_t col) {
+  Csr<T> m;
+  m.rows = rows;
+  m.cols = cols;
+  m.row_ptr.assign(static_cast<std::size_t>(rows) + 1, 1);
+  m.row_ptr[0] = 0;
+  m.col_idx = {col};
+  m.values = {T{1}};
+  return m;
+}
+
 }  // namespace acs::testutil
