@@ -87,13 +87,13 @@ struct EscWorkspace {
 
 /// The ESC block algorithm (Sections 3.2, 3.4), shared by both backends.
 /// `kNative` selects the execution policy, never the mathematics: the
-/// native path reuses the thread-local workspace and replaces the
-/// sort-then-compact pipeline with a dense per-row accumulator
-/// (arch::NativeRowAccumulator) — products fold into a column-indexed sum
-/// in draw order, which is exactly the order a stable sort followed by the
-/// Algorithm 3 scan combines them in, and only the unique columns of each
-/// row are sorted for emission. It also skips the simulated-traffic
-/// accounting. Outputs are bit-identical by construction;
+/// native path reuses the thread-local workspace, expands and encodes each
+/// drawn product in one pass, and keeps the sort-then-compact pipeline with
+/// lean primitives — arch::native_radix_sort (stable LSD, so the same
+/// permutation as the simulated block radix sort) followed by
+/// arch::native_compact_sorted (the Algorithm 3 scan's left-to-right
+/// combination of equal keys in one pass). It also skips the
+/// simulated-traffic accounting. Outputs are bit-identical by construction;
 /// tests/test_arch.cpp sweeps the differential generators over both paths
 /// to observe it.
 template <class T, bool kNative>

@@ -35,6 +35,8 @@ struct MetricCounters {
 
   MetricCounters& operator+=(const MetricCounters& other);
   [[nodiscard]] MetricCounters operator+(const MetricCounters& other) const;
+  friend bool operator==(const MetricCounters&,
+                         const MetricCounters&) = default;
 };
 
 /// Split an aggregate counter set into `count` near-identical per-block

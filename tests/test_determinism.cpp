@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "arch/arch_id.hpp"
 #include "core/acspgemm.hpp"
 #include "matrix/generators.hpp"
 
@@ -140,6 +141,38 @@ TEST(Determinism, LongRowPathBitStableAcrossRunsAndThreads) {
   Config tight = cfg;
   tight.pool_override_bytes = 8 * 1024;
   EXPECT_TRUE(c1.equals_exact(multiply(a, b, tight)));
+}
+
+TEST(Determinism, ChunkCopyIndependentOfSchedulerThreads) {
+  // About 2.4M output entries, several copy grains: at 4 scheduler threads
+  // the chunk copy splits C's rows into tasks, at 1 it runs inline. Neither
+  // the output bits nor any modeled number may tell the two apart. With a
+  // long-row threshold of 7, rows of A with one entry whose row of B is
+  // long become unshared pointer chunks that the split copy expands.
+  const auto m = gen_uniform_random<double>(150000, 150000, 4.0, 3.0, 21);
+  for (const index_t long_row_threshold : {0, 7}) {
+    for (const auto exec :
+         {arch::ExecKind::kSimulated, arch::ExecKind::kNative}) {
+      Config one;
+      one.exec = exec;
+      one.long_row_threshold = long_row_threshold;
+      Config four = one;
+      four.scheduler_threads = 4;
+      SpgemmStats s1, s4;
+      const auto c1 = multiply(m, m, one, &s1);
+      const auto c4 = multiply(m, m, four, &s4);
+      SCOPED_TRACE(testing::Message()
+                   << "long_row_threshold=" << long_row_threshold
+                   << " native=" << (exec == arch::ExecKind::kNative));
+      EXPECT_TRUE(c1.equals_exact(c4));
+      EXPECT_EQ(s1.sim_time_s, s4.sim_time_s);
+      EXPECT_EQ(s1.stage_times_s, s4.stage_times_s);
+      EXPECT_EQ(s1.metrics, s4.metrics);
+      if (long_row_threshold > 0) {
+        EXPECT_GT(s4.long_row_chunks, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace
