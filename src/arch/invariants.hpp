@@ -25,8 +25,9 @@ namespace acs::arch::invariants {
 static_assert(device_config<SimTitanXp>() == sim::DeviceConfig{});
 
 // 2. NativeCpu executes under SimTitanXp's geometry. The scratchpad bound
-// drives Pipeline::validate and tune::fits_device, the thread count drives
-// temp_capacity — equality of these is the bit-identity precondition.
+// drives fits_device (core/config.hpp), which both Pipeline::validate and
+// the tuner apply; the thread count drives temp_capacity — equality of
+// these is the bit-identity precondition.
 static_assert(NativeCpu::kScratchpadBytes == SimTitanXp::kScratchpadBytes);
 static_assert(NativeCpu::kThreadsPerBlock == SimTitanXp::kThreadsPerBlock);
 static_assert(device_config<NativeCpu>() == device_config<SimTitanXp>());

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #if defined(__linux__)
 #include <sys/mman.h>
@@ -20,7 +21,6 @@
 #include "matrix/stats.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/scratchpad.hpp"
 #include "trace/trace.hpp"
 
 namespace acs {
@@ -149,12 +149,10 @@ class Pipeline {
           "acspgemm: temp capacity exceeds the 15-bit compaction counters");
     // The paper's claim that the working set fits in on-chip memory,
     // enforced: keys + values + WDState + scan states must fit.
-    sim::Scratchpad pad(static_cast<std::size_t>(cfg.device.scratchpad_bytes));
-    const auto cap = static_cast<std::size_t>(cfg.temp_capacity());
-    pad.allocate<std::uint64_t>(cap);                                   // keys
-    pad.allocate<T>(cap);                                               // values
-    pad.allocate<offset_t>(static_cast<std::size_t>(cfg.nnz_per_block) + 1);
-    pad.allocate<std::uint32_t>(cap);                                   // states
+    if (!fits_device(cfg, sizeof(T)))
+      throw std::length_error(
+          "acspgemm: ESC working set exceeds the " +
+          std::to_string(cfg.device.scratchpad_bytes) + "-byte scratchpad");
   }
 
   /// Record one simulated kernel: schedule its blocks, account the stage
@@ -634,13 +632,10 @@ std::size_t estimate_chunk_pool_bytes(const Csr<T>& a, const Csr<T>& b,
   const double cols_b = std::max<double>(1.0, static_cast<double>(b.cols));
   const double avg_a = static_cast<double>(a.nnz()) / rows_a;
   const double avg_b = static_cast<double>(b.nnz()) / rows_b;
-  const double p_b = avg_b / cols_b;
-  // S ≈ nA · b · (1 - (1 - p_b)^a) / p_b, the expected nnz(C) if every row
-  // had the average number of uniformly distributed entries.
-  const double collision_scale =
-      p_b < 1e-12 ? avg_a
-                  : (1.0 - std::pow(1.0 - p_b, avg_a)) / p_b;
-  const double elements = rows_a * avg_b * collision_scale;
+  // The expected nnz(C) if every row had the average number of uniformly
+  // distributed entries.
+  const double elements =
+      estimate::uniform_output_nnz(rows_a, avg_a, avg_b, cols_b);
   const double bytes =
       elements * static_cast<double>(kChunkEntryBytes<T>) *
       cfg.pool_estimate_factor;

@@ -6,6 +6,7 @@
 /// ESC iterations, a 1.2× chunk-pool estimate with a 100 MB lower bound.
 
 #include <cstddef>
+#include <cstdint>
 
 #include "arch/arch_id.hpp"
 #include "matrix/types.hpp"
@@ -130,5 +131,39 @@ struct Config {
                                   : static_cast<index_t>(temp_capacity());
   }
 };
+
+/// True when `cfg` passes the device-feasibility constraints that
+/// Pipeline::validate enforces: positive block geometry, retain <
+/// elements_per_thread, 15-bit compaction counters, and the ESC working
+/// set (keys + values + work-distribution offsets + scan states) fitting
+/// the scratchpad. `value_bytes` = sizeof of the value type. The one
+/// statement of the paper's claim that all temporary data fits in on-chip
+/// memory: the pipeline checks it on every multiply, the tuner prunes its
+/// grid with it, and, being constexpr, tune/invariants.hpp certifies the
+/// default grids against it at compile time — e.g. that double-width
+/// values with nnz_per_block=1024 exceed 48 KiB.
+[[nodiscard]] constexpr bool fits_device(const Config& cfg,
+                                         std::size_t value_bytes) {
+  if (cfg.threads <= 0 || cfg.nnz_per_block <= 0 ||
+      cfg.elements_per_thread <= 0)
+    return false;
+  if (cfg.retain_per_thread < 0 ||
+      cfg.retain_per_thread >= cfg.elements_per_thread)
+    return false;
+  if (cfg.temp_capacity() > 32767) return false;  // 15-bit compaction counters
+  // Scratchpad layout of one ESC block: each array padded to its alignment.
+  const auto cap = static_cast<std::size_t>(cfg.temp_capacity());
+  std::size_t used = 0;
+  const auto alloc = [&](std::size_t count, std::size_t size,
+                         std::size_t align) {
+    used = (used + align - 1) / align * align + count * size;
+  };
+  alloc(cap, sizeof(std::uint64_t), alignof(std::uint64_t));  // sort keys
+  alloc(cap, value_bytes, value_bytes);                       // sort values
+  alloc(static_cast<std::size_t>(cfg.nnz_per_block) + 1, sizeof(offset_t),
+        alignof(offset_t));                                   // WD offsets
+  alloc(cap, sizeof(std::uint32_t), alignof(std::uint32_t));  // scan states
+  return used <= static_cast<std::size_t>(cfg.device.scratchpad_bytes);
+}
 
 }  // namespace acs

@@ -89,6 +89,14 @@ ProductEstimate estimate_products(const Csr<T>& a, const Csr<T>& b,
       sample_b_row_lengths(a, b, sample_stride, min_samples));
 }
 
+double uniform_output_nnz(double rows_a, double avg_a, double avg_b,
+                          double cols_b) {
+  const double p_b = avg_b / cols_b;
+  const double collision =
+      p_b < 1e-12 ? avg_a : (1.0 - std::pow(1.0 - p_b, avg_a)) / p_b;
+  return rows_a * avg_b * collision;
+}
+
 std::size_t saturate_bytes(double bytes) {
   if (!(bytes > 0.0)) return 0;  // NaN and negatives collapse here
   constexpr double kMax =

@@ -87,6 +87,17 @@ ProductEstimate estimate_products(const Csr<T>& a, const Csr<T>& b,
                                   std::size_t sample_stride = 8,
                                   std::size_t min_samples = 512);
 
+/// Expected nnz(C) under the paper's uniform-row collision model: `rows_a`
+/// rows of A with `avg_a` entries each select rows of B with `avg_b`
+/// entries spread uniformly over `cols_b` columns, so
+///   S = rows_a · avg_b · (1 − (1 − p_b)^avg_a) / p_b,  p_b = avg_b / cols_b
+/// (rows_a · avg_b · avg_a when p_b vanishes). The one spelling of the
+/// formula: the closed-form chunk-pool guess and the tuner's output-size
+/// estimate both call it, each with its own clamps on the arguments and
+/// the result.
+[[nodiscard]] double uniform_output_nnz(double rows_a, double avg_a,
+                                        double avg_b, double cols_b);
+
 /// Saturating double→size_t conversion for byte quantities: NaN and
 /// negative values collapse to 0, anything at or beyond the size_t range
 /// saturates to the maximum instead of truncating or wrapping (the

@@ -1,6 +1,7 @@
 #include "sim/cost_model.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace acs::sim {
 
@@ -72,6 +73,33 @@ KernelTiming schedule_blocks(const std::vector<MetricCounters>& blocks,
   times.reserve(blocks.size());
   for (const auto& b : blocks) times.push_back(block_time_s(b, dev));
   return schedule_blocks(times, dev);
+}
+
+double uniform_kernel_time_s(const MetricCounters& total, std::size_t n,
+                             const DeviceConfig& dev) {
+  const double launch_s = dev.kernel_launch_us * 1e-6;
+  if (n == 0) return launch_s;
+  const auto div = static_cast<std::uint64_t>(n);
+  const auto ceil_share = [div](std::uint64_t v) {
+    return v / div + (v % div != 0 ? 1 : 0);
+  };
+  MetricCounters share;
+  share.global_bytes_coalesced = ceil_share(total.global_bytes_coalesced);
+  share.global_bytes_scattered = ceil_share(total.global_bytes_scattered);
+  share.scratch_ops = ceil_share(total.scratch_ops);
+  share.sort_pass_elements = ceil_share(total.sort_pass_elements);
+  share.scan_elements = ceil_share(total.scan_elements);
+  share.hash_probes = ceil_share(total.hash_probes);
+  share.atomic_ops = ceil_share(total.atomic_ops);
+  share.flops = ceil_share(total.flops);
+  share.compute_ops = ceil_share(total.compute_ops);
+  // The list schedule puts block j on the least-loaded slot, which holds at
+  // most floor(j / slots) earlier blocks; no block outlasts `share`, so no
+  // slot ends above ceil(n / slots) of them.
+  const auto slots =
+      static_cast<std::size_t>(std::max(1, dev.num_sms * dev.blocks_per_sm));
+  const auto waves = (n + slots - 1) / slots;
+  return launch_s + static_cast<double>(waves) * block_time_s(share, dev);
 }
 
 }  // namespace acs::sim

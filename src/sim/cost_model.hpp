@@ -10,8 +10,11 @@
 /// onto `num_sms × blocks_per_sm` slots in block order (matching the
 /// deterministic hardware dispatch the paper relies on) and adds the launch
 /// overhead. The per-SM busy times also yield the paper's "multiprocessor
-/// load" metric (Table 3, last column).
+/// load" metric (Table 3, last column). Kernels whose blocks share one
+/// aggregate evenly also have a closed form (`uniform_kernel_time_s`), which
+/// the tuner's predictor prices with.
 
+#include <cstddef>
 #include <vector>
 
 #include "sim/device_config.hpp"
@@ -35,6 +38,16 @@ KernelTiming schedule_blocks(const std::vector<double>& block_times_s,
 
 /// Convenience: schedule blocks given their metric sets.
 KernelTiming schedule_blocks(const std::vector<MetricCounters>& blocks,
+                             const DeviceConfig& dev);
+
+/// Closed-form makespan of a uniform kernel: `n` blocks that split `total`
+/// as `uniform_block_split(n, total)` does. Charges the launch plus
+/// ceil(n / slots) waves of the block holding the ceiling share of every
+/// field, in O(1) instead of the list schedule's O(n × slots). An upper
+/// bound on `schedule_blocks(uniform_block_split(n, total), dev).time_s`,
+/// exact when n ≤ num_sms × blocks_per_sm (then every block runs in one
+/// wave and block 0 holds the ceiling share); `n` = 0 costs the launch.
+double uniform_kernel_time_s(const MetricCounters& total, std::size_t n,
                              const DeviceConfig& dev);
 
 }  // namespace acs::sim

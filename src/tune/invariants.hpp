@@ -1,9 +1,10 @@
 #pragma once
 /// \file invariants.hpp
 /// Compile-time proofs of the tuner's feasibility contract (DESIGN.md §10):
-/// `fits_device` is constexpr, so every tuple of the default candidate
-/// grids can be certified against the default 48 KiB scratchpad here, for
-/// both value widths, instead of trusting the runtime pruning alone.
+/// `fits_device` (core/config.hpp) is constexpr, so every tuple of the
+/// default candidate grids can be certified against the default 48 KiB
+/// scratchpad here, for both value widths, instead of trusting the runtime
+/// pruning alone.
 /// Included from tune/tuner.cpp so the proofs are checked in every build.
 
 #include <cstddef>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "estimate/estimator.hpp"
 #include "sim/block_primitives.hpp"
 
 namespace acs::tune {
@@ -27,53 +28,20 @@ double row_fraction_above(const RowLengthProfile& p, double limit,
   return 0.001;
 }
 
-/// Device makespan of `blocks` copies of the aggregate counters `total`
-/// (the same uniform-split treatment the pipeline gives its utility
-/// kernels) — the currency of `total_s`, which admission prices with.
+/// Device makespan of a uniform kernel of `blocks` blocks sharing the
+/// aggregate counters `total` (the treatment the pipeline gives its utility
+/// kernels), in closed form — the currency of `total_s`, which the tuner
+/// ranks by and admission prices with.
 double kernel_makespan_s(const sim::MetricCounters& total, double blocks,
                          const sim::DeviceConfig& dev) {
   const auto n = static_cast<std::size_t>(std::max(1.0, std::round(blocks)));
-  return sim::schedule_blocks(sim::uniform_block_split(n, total), dev).time_s;
+  return sim::uniform_kernel_time_s(total, n, dev);
 }
-
-/// Host-calibrated work of one stage — the currency the tuner ranks by.
-/// The engine's jobs/s is bounded by what the *host* scheduler chews
-/// through, and the host's relative costs differ from the device model's:
-/// an LSD radix-sort pass really touches every element (~1.5 ns each,
-/// against the device model's 4 overlapped ops), bytes are nearly free
-/// under the host caches, and every simulated block / written chunk costs
-/// microseconds of dispatch and allocator work that the device model rolls
-/// into bandwidth. Weights were fitted against wall-clock stage profiles of
-/// reference structures (see DESIGN.md §9); they need only rank
-/// configurations, not predict absolute seconds.
-double host_work_s(const sim::MetricCounters& m, double blocks,
-                   double chunks, double per_block_us) {
-  const double ns =
-      static_cast<double>(m.sort_pass_elements) * 1.5 +
-      static_cast<double>(m.scan_elements) * 2.0 +
-      static_cast<double>(m.flops) * 0.5 +
-      static_cast<double>(m.compute_ops) * 0.5 +
-      static_cast<double>(m.scratch_ops) * 0.1 +
-      static_cast<double>(m.hash_probes) * 1.0 +
-      static_cast<double>(m.global_bytes_coalesced) * 0.05 +
-      static_cast<double>(m.global_bytes_scattered) * 0.2 +
-      static_cast<double>(m.atomic_ops) * 1.0;
-  return ns * 1e-9 + blocks * per_block_us * 1e-6 + chunks * 0.15e-6 +
-         1.0e-6;
-}
-
-/// Per-simulated-block host cost by stage: an ESC block sets up row maps,
-/// work distribution and product buffers (~2.5 us of allocator and
-/// dispatch work); a merge task only gathers into three flat vectors
-/// (~1 us); utility passes (GLB, MCC, CC) are plain loops.
-constexpr double kEscBlockUs = 2.5;
-constexpr double kMergeBlockUs = 1.0;
-constexpr double kPassUs = 0.1;
 
 }  // namespace
 
 CostBreakdown predict_cost(const TuneFeatures& f, const Config& cfg,
-                           std::size_t value_bytes, bool simulate_makespan) {
+                           std::size_t value_bytes) {
   CostBreakdown out;
   const sim::DeviceConfig& dev = cfg.device;
   const double vb = static_cast<double>(value_bytes);
@@ -99,13 +67,11 @@ CostBreakdown predict_cost(const TuneFeatures& f, const Config& cfg,
   const double esc_products = std::max(0.0, products - long_products);
   out.esc_products = esc_products;
 
-  // Output-size estimate: the paper's uniform-row collision model, scaled
-  // to the (possibly measured) product count.
-  const double p_b = avg_b / cols_b;
+  // Output-size estimate: the paper's uniform-row collision model, capped
+  // by the (possibly measured) product count.
   const double avg_a = nnz_a / rows_a;
-  const double collision =
-      p_b < 1e-12 ? avg_a : (1.0 - std::pow(1.0 - p_b, avg_a)) / p_b;
-  out.est_nnz_c = std::min(products, rows_a * avg_b * collision);
+  out.est_nnz_c = std::min(
+      products, estimate::uniform_output_nnz(rows_a, avg_a, avg_b, cols_b));
   const double compaction = out.est_nnz_c / std::max(1.0, products);
 
   // --- GLB (Algorithm 1): one pass over A's row pointer. ------------------
@@ -115,10 +81,7 @@ CostBreakdown predict_cost(const TuneFeatures& f, const Config& cfg,
     m.global_bytes_coalesced =
         static_cast<std::uint64_t>((rows_a + out.blocks) * kIdx);
     m.scan_elements = static_cast<std::uint64_t>(rows_a);
-    if (simulate_makespan)
-      out.glb_s = kernel_makespan_s(m, std::ceil(rows_a / threads), dev);
-    // One pass over the row pointer on the host, however it is blocked.
-    out.serial_s += host_work_s(m, 1.0, 0.0, kPassUs);
+    out.glb_s = kernel_makespan_s(m, std::ceil(rows_a / threads), dev);
   }
 
   // --- ESC: iterations, sort work, chunk writes. --------------------------
@@ -165,8 +128,7 @@ CostBreakdown predict_cost(const TuneFeatures& f, const Config& cfg,
     m.scratch_ops = static_cast<std::uint64_t>(2.0 * esc_chunk_entries);
     m.atomic_ops = static_cast<std::uint64_t>(out.chunks * 3.0 + rows_pb +
                                               out.long_entries * 4.0);
-    if (simulate_makespan) out.esc_s = kernel_makespan_s(m, out.blocks, dev);
-    out.serial_s += host_work_s(m, out.blocks, out.chunks, kEscBlockUs);
+    out.esc_s = kernel_makespan_s(m, out.blocks, dev);
   }
 
   // --- Merge: boundary rows + oversized rows + long-row rows. -------------
@@ -218,18 +180,13 @@ CostBreakdown predict_cost(const TuneFeatures& f, const Config& cfg,
     const double long_path = long_segs <= pmc ? long_merge_rows : 0.0;
     const double long_search = long_segs <= pmc ? 0.0 : long_merge_rows;
 
-    double merge_s = 0.0;
-    const auto add = [&](const sim::MetricCounters& m, double blocks,
-                         double windows, double per_block_us) {
-      if (simulate_makespan) merge_s += kernel_makespan_s(m, blocks, dev);
-      out.serial_s += host_work_s(m, blocks, windows, per_block_us);
-    };
     {  // Merge-case assignment scan (MCC).
       sim::MetricCounters m;
       m.scan_elements = static_cast<std::uint64_t>(out.merged_rows);
       m.global_bytes_coalesced =
           static_cast<std::uint64_t>(out.merged_rows * 2.0 * kIdx);
-      add(m, std::ceil(out.merged_rows / threads), 0.0, kPassUs);
+      out.merge_s +=
+          kernel_makespan_s(m, std::ceil(out.merged_rows / threads), dev);
     }
     // Gathered buffers are re-sorted by (local row, column) before
     // compaction (merge.cpp); local-row ids are tiny, so the pass count is
@@ -251,7 +208,7 @@ CostBreakdown predict_cost(const TuneFeatures& f, const Config& cfg,
       sim::MetricCounters m;
       const double elems = traffic(m, multi_rows, std::min(avg_c, cap), 2.0);
       const double batches = std::max(1.0, std::ceil(elems / cap));
-      add(m, batches, 0.0, kMergeBlockUs);
+      out.merge_s += kernel_makespan_s(m, batches, dev);
     }
     if (big_path + long_path > 0.0) {
       sim::MetricCounters m;
@@ -269,7 +226,8 @@ CostBreakdown predict_cost(const TuneFeatures& f, const Config& cfg,
           static_cast<std::uint64_t>(windows * threads * 4.0);
       m.scan_elements += static_cast<std::uint64_t>(windows * threads);
       out.chunks += windows;
-      add(m, std::max(1.0, big_path + long_path), windows, kMergeBlockUs);
+      out.merge_s +=
+          kernel_makespan_s(m, std::max(1.0, big_path + long_path), dev);
     }
     if (big_search + long_search > 0.0) {
       sim::MetricCounters m;
@@ -290,10 +248,9 @@ CostBreakdown predict_cost(const TuneFeatures& f, const Config& cfg,
           static_cast<std::uint64_t>(windows * threads * probes);
       m.scan_elements += static_cast<std::uint64_t>(windows * threads);
       out.chunks += windows;
-      add(m, std::max(1.0, big_search + long_search), windows,
-          kMergeBlockUs);
+      out.merge_s +=
+          kernel_makespan_s(m, std::max(1.0, big_search + long_search), dev);
     }
-    out.merge_s = merge_s;
   }
 
   // --- CC: row-pointer scan + one copy block per live chunk. --------------
@@ -304,11 +261,7 @@ CostBreakdown predict_cost(const TuneFeatures& f, const Config& cfg,
         rows_a * kIdx * 2.0 + 2.0 * out.est_nnz_c * (kIdx + vb) +
         2.0 * long_products * (kIdx + vb));
     m.flops = static_cast<std::uint64_t>(2.0 * long_products);
-    if (simulate_makespan)
-      out.cc_s = kernel_makespan_s(m, std::max(1.0, out.chunks), dev);
-    // On the host CC is one pass over rows and their segment lists; the
-    // per-live-chunk bookkeeping rides on the chunk term.
-    out.serial_s += host_work_s(m, 1.0, out.chunks, kPassUs);
+    out.cc_s = kernel_makespan_s(m, std::max(1.0, out.chunks), dev);
   }
 
   out.total_s = out.glb_s + out.esc_s + out.merge_s + out.cc_s;

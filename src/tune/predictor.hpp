@@ -6,10 +6,10 @@
 /// sim::schedule_blocks) but replaces execution with closed-form estimates
 /// over TuneFeatures — so ranking N candidates costs N cost-model
 /// evaluations instead of N multiplications. Times come out of the *same*
-/// `sim::cost_model` the pipeline uses: per-block counters are scheduled
-/// onto the device with `schedule_blocks`, launch overheads and all, which
-/// keeps the predictor's preferences aligned with the quantity the benches
-/// report.
+/// `sim::cost_model` the pipeline uses: each stage's counters are priced as
+/// a uniform kernel by `sim::uniform_kernel_time_s`, launch overheads and
+/// all, in closed form. The modeled makespan `total_s` is both what the
+/// tuner ranks by and what admission charges.
 
 #include <cstddef>
 
@@ -26,14 +26,6 @@ struct CostBreakdown {
   double merge_s = 0.0;  ///< merge assignment + Multi/Path/Search merge
   double cc_s = 0.0;     ///< output assembly / chunk copy
   double total_s = 0.0;  ///< sum of the stages above (device makespan)
-  /// Total *work*, priced with host-calibrated weights over the same stage
-  /// counters (see predictor.cpp's host_work_s). Where `total_s` is the
-  /// latency of one multiplication on an otherwise idle simulated device,
-  /// `serial_s` is what the execution costs the host scheduler — the
-  /// quantity that bounds the engine's batch throughput once independent
-  /// jobs keep every worker busy. Relative, not absolute: it ranks
-  /// configurations, it does not predict wall seconds.
-  double serial_s = 0.0;
 
   // Intermediate structural estimates, exposed for tests and logging.
   double blocks = 0.0;        ///< ESC blocks (ceil(nnz_a / nnz_per_block))
@@ -48,24 +40,18 @@ struct CostBreakdown {
 /// Predict the cost of running C = A·B (characterized by `f`) under `cfg`.
 /// `value_bytes` is sizeof(T) of the value type (the predictor is not
 /// templated; only byte volumes depend on T). Deterministic: equal inputs
-/// give bit-equal outputs.
-///
-/// `simulate_makespan` = false skips the `sim::schedule_blocks` pricing of
-/// the per-stage device makespans — the O(blocks) part that makes full
-/// ranking expensive. The stage times and `total_s` then come back 0;
-/// `serial_s` and every structural estimate are unchanged (they are pure
-/// closed forms). The tuner ranks this way: pricing one candidate by
-/// `serial_s` costs microseconds regardless of matrix size.
+/// give bit-equal outputs. Every term is a closed form, so one call costs
+/// microseconds regardless of matrix size.
 CostBreakdown predict_cost(const TuneFeatures& f, const Config& cfg,
-                           std::size_t value_bytes,
-                           bool simulate_makespan = true);
+                           std::size_t value_bytes);
 
 /// Predicted device makespan (`CostBreakdown::total_s`) of one C = A·B in
-/// simulated seconds — the serving layer's pricing seam: admission control
-/// (serve/admission.hpp) charges every request this quantity against
-/// deadlines, token-bucket quotas and the fair scheduler. Deterministic
-/// like `predict_cost`; costs one closed-form evaluation, so pricing a
-/// request is cheap next to running it.
+/// simulated seconds — the one cost the system decides by: the tuner ranks
+/// candidates by it, and admission control (serve/admission.hpp) charges
+/// every request this quantity against deadlines, token-bucket quotas and
+/// the fair scheduler. Deterministic like `predict_cost`; costs one
+/// closed-form evaluation, so pricing a request is cheap next to running
+/// it.
 double predict_makespan_s(const TuneFeatures& f, const Config& cfg,
                           std::size_t value_bytes);
 

@@ -49,7 +49,7 @@ GridAxes build_axes(const TunerOptions& opts, const TuneFeatures& f,
   g.pmcs = opts.path_merge_max_chunks;
   push_unique(g.pmcs, base.path_merge_max_chunks);
   g.thresholds.push_back(base.long_row_threshold);
-  if (opts.tune_long_row_threshold && base.long_row_handling) {
+  if (base.long_row_handling) {
     push_unique(g.thresholds, index_t{0});  // auto (= temp_capacity())
     if (f.b_rows.p90 > 0) push_unique(g.thresholds, f.b_rows.p90);
     if (f.b_rows.p99 > 0) push_unique(g.thresholds, f.b_rows.p99);
@@ -65,8 +65,8 @@ std::vector<Candidate> AutoTuner::rank(const TuneFeatures& f,
   return rank_budgeted(f, base, value_bytes, /*max_candidates=*/0);
 }
 
-/// Enumerate, prune, price and sort. Pricing is predictor-only: `serial_s`
-/// is a closed form, and the simulated makespan is never computed.
+/// Enumerate, prune, price and sort. Pricing is predictor-only and closed
+/// form, so ranking the grid costs microseconds at any matrix size.
 std::vector<Candidate> AutoTuner::rank_budgeted(
     const TuneFeatures& f, const Config& base, std::size_t value_bytes,
     std::size_t max_candidates) const {
@@ -90,16 +90,15 @@ std::vector<Candidate> AutoTuner::rank_budgeted(
           Config cfg = base;
           c.params.apply(cfg);
           if (!fits_device(cfg, value_bytes)) continue;
-          c.cost = predict_cost(f, cfg, value_bytes,
-                                /*simulate_makespan=*/false);
+          c.cost = predict_cost(f, cfg, value_bytes);
           out.push_back(std::move(c));
         }
       }
     }
   }
   std::sort(out.begin(), out.end(), [](const Candidate& x, const Candidate& y) {
-    if (x.cost.serial_s != y.cost.serial_s)
-      return x.cost.serial_s < y.cost.serial_s;
+    if (x.cost.total_s != y.cost.total_s)
+      return x.cost.total_s < y.cost.total_s;
     return key_of(x.params) < key_of(y.params);
   });
   return out;

@@ -4,12 +4,13 @@
 /// structural features of a job (features.hpp) it enumerates a candidate
 /// grid over `nnz_per_block`, the retained-element budget, the long-row
 /// threshold and the Path/Search merge cutoff, rejects candidates that
-/// would overflow the scratchpad (the same feasibility check
+/// would overflow the scratchpad (`fits_device`, the check
 /// Pipeline::validate enforces at run time), prices the survivors through
-/// the closed-form predictor (predictor.hpp) and returns the cheapest by
-/// `CostBreakdown::serial_s` as a `TunedParams` overlay. The caller applies
-/// the overlay to its own Config (src/serve does, once per structure
-/// fingerprint); nothing is cached or refined here.
+/// the closed-form predictor (predictor.hpp) and returns the one with the
+/// lowest modeled makespan (`CostBreakdown::total_s`, the cost admission
+/// charges) as a `TunedParams` overlay. The caller applies the overlay to
+/// its own Config (src/serve does, once per structure fingerprint); nothing
+/// is cached or refined here.
 ///
 /// Determinism: ranking is a pure function of (features, base config,
 /// value width) — no clocks, no RNG, no measured times — and ties break on
@@ -17,7 +18,6 @@
 /// interleaving picks the same winner (DESIGN.md §9).
 
 #include <cstddef>
-#include <cstdint>
 #include <iterator>
 #include <vector>
 
@@ -53,9 +53,6 @@ struct TunerOptions {
                                      std::end(kDefaultRetainGrid)};
   std::vector<int> path_merge_max_chunks{std::begin(kDefaultPathMergeGrid),
                                          std::end(kDefaultPathMergeGrid)};
-  /// Also try long-row thresholds derived from B's row-length quantiles
-  /// (p90, p99) next to the base setting and "auto".
-  bool tune_long_row_threshold = true;
   /// Feature-extraction sampling (see extract_features).
   std::size_t sample_stride = 8;
   std::size_t min_samples = 512;
@@ -73,39 +70,6 @@ struct Candidate {
   CostBreakdown cost;
 };
 
-/// True when `cfg` passes the device-feasibility constraints that
-/// Pipeline::validate would enforce: positive block geometry, retain <
-/// elements_per_thread, 15-bit compaction counters, and the ESC working
-/// set (keys + values + work-distribution offsets + states) fitting the
-/// scratchpad. `value_bytes` = sizeof of the value type. Constexpr so that
-/// tune/invariants.hpp can certify the default grid at compile time — e.g.
-/// that double-width values with nnz_per_block=1024 exceed 48 KiB and the
-/// tuner must prune that tuple.
-[[nodiscard]] constexpr bool fits_device(const Config& cfg,
-                                         std::size_t value_bytes) {
-  if (cfg.threads <= 0 || cfg.nnz_per_block <= 0 ||
-      cfg.elements_per_thread <= 0)
-    return false;
-  if (cfg.retain_per_thread < 0 ||
-      cfg.retain_per_thread >= cfg.elements_per_thread)
-    return false;
-  if (cfg.temp_capacity() > 32767) return false;  // 15-bit compaction counters
-  // Mirror Pipeline::validate's scratchpad layout (same order, same
-  // alignment padding as sim::Scratchpad::allocate).
-  const auto cap = static_cast<std::size_t>(cfg.temp_capacity());
-  std::size_t used = 0;
-  const auto alloc = [&](std::size_t count, std::size_t size,
-                         std::size_t align) {
-    used = (used + align - 1) / align * align + count * size;
-  };
-  alloc(cap, sizeof(std::uint64_t), alignof(std::uint64_t));  // sort keys
-  alloc(cap, value_bytes, value_bytes);                       // sort values
-  alloc(static_cast<std::size_t>(cfg.nnz_per_block) + 1, sizeof(offset_t),
-        alignof(offset_t));                                   // WD offsets
-  alloc(cap, sizeof(std::uint32_t), alignof(std::uint32_t));  // scan states
-  return used <= static_cast<std::size_t>(cfg.device.scratchpad_bytes);
-}
-
 class AutoTuner {
  public:
   explicit AutoTuner(TunerOptions opts = {}) : opts_(std::move(opts)) {}
@@ -113,11 +77,11 @@ class AutoTuner {
   [[nodiscard]] const TunerOptions& options() const { return opts_; }
 
   /// Price every feasible candidate for a job with features `f` under the
-  /// base configuration through the predictor alone (no
-  /// `sim::schedule_blocks` simulated execution — `CostBreakdown::total_s`
-  /// comes back 0), cheapest `serial_s` first, ties broken on the parameter
-  /// tuple. Never empty as long as the base configuration itself is
-  /// feasible.
+  /// base configuration through the predictor alone (no multiplication
+  /// runs), lowest `CostBreakdown::total_s` first, ties broken on the
+  /// parameter tuple. Each candidate's `total_s` equals
+  /// `predict_makespan_s` of its applied Config. Never empty as long as
+  /// the base configuration itself is feasible.
   [[nodiscard]] std::vector<Candidate> rank(const TuneFeatures& f,
                                             const Config& base,
                                             std::size_t value_bytes) const;

@@ -301,10 +301,13 @@ TEST(Engine, NativeCpuEngineIsBitIdenticalWithZeroSimulatedTime) {
 // --- SimBigDevice tuner ----------------------------------------------------
 
 TEST(BigDeviceTuner, SelectsBlockShapesTitanMustReject) {
-  // On the big device the widened grid wins with nnz_per_block >= 1024 —
-  // a shape whose double-width ESC working set exceeds the Titan Xp's
-  // 48 KiB scratchpad, so its feasibility check must prune it.
-  const auto a = gen_uniform_random<double>(600, 600, 12.0, 3.0, 241);
+  // On an input that fills the big device (~640k nnz: even 2048-entry
+  // blocks fill its 160 slots twice over) the widened grid wins with
+  // nnz_per_block >= 1024 — a shape whose double-width ESC working set
+  // exceeds the Titan Xp's 48 KiB scratchpad, so its feasibility check
+  // must prune it. A small input, a few blocks at 2048, rightly prefers
+  // narrow blocks on the modeled clock.
+  const auto a = gen_uniform_random<double>(20000, 20000, 32.0, 4.0, 241);
   const auto f = tune::extract_features(a, a);
 
   Config big_base;
@@ -318,11 +321,11 @@ TEST(BigDeviceTuner, SelectsBlockShapesTitanMustReject) {
   // The winning overlay fits the big device but not the titan.
   Config on_big = big_base;
   winner.apply(on_big);
-  EXPECT_TRUE(tune::fits_device(on_big, sizeof(double)));
+  EXPECT_TRUE(fits_device(on_big, sizeof(double)));
   Config on_titan;
   on_titan.device = arch::device_config<arch::SimTitanXp>();
   winner.apply(on_titan);
-  EXPECT_FALSE(tune::fits_device(on_titan, sizeof(double)));
+  EXPECT_FALSE(fits_device(on_titan, sizeof(double)));
 
   // And the titan's own default grid never offers that shape: its best
   // candidate under the same features stays feasible on the titan.
@@ -332,7 +335,7 @@ TEST(BigDeviceTuner, SelectsBlockShapesTitanMustReject) {
   ASSERT_TRUE(titan_winner.valid);
   Config titan_cfg;
   titan_winner.apply(titan_cfg);
-  EXPECT_TRUE(tune::fits_device(titan_cfg, sizeof(double)));
+  EXPECT_TRUE(fits_device(titan_cfg, sizeof(double)));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 /// Runtime companions to the compile-time proofs in core/invariants.hpp and
 /// tune/invariants.hpp: the 15-bit compaction boundary from both sides, a
 /// differential check of compact_sorted at full counter width, and the
-/// agreement between the constexpr `fits_device` mirror and what
-/// Pipeline::validate actually accepts.
+/// agreement between the constexpr `fits_device` the tuner prunes with and
+/// what Pipeline::validate actually accepts.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "core/invariants.hpp"
 #include "matrix/generators.hpp"
 #include "tune/invariants.hpp"
-#include "tune/tuner.hpp"
 
 namespace acs {
 namespace {
@@ -115,7 +114,7 @@ TEST(CompactionBoundary, DifferentialAtFullWidth) {
 }
 
 // ---------------------------------------------------------------------------
-// fits_device is a faithful mirror of Pipeline::validate: whatever the
+// fits_device states Pipeline::validate's feasibility rule: whatever the
 // constexpr filter accepts must multiply, whatever it rejects must throw.
 // ---------------------------------------------------------------------------
 
@@ -123,7 +122,7 @@ TEST(FeasibilityMirror, FitsDeviceMatchesPipelineValidate) {
   const auto a = gen_uniform_random<double>(50, 50, 3.0, 1.0, 42);
 
   const auto probe = [&](Config cfg) {
-    const bool fits = tune::fits_device(cfg, sizeof(double));
+    const bool fits = fits_device(cfg, sizeof(double));
     bool ran = true;
     try {
       (void)multiply(a, a, cfg);

@@ -3,13 +3,15 @@
 
 1. Markdown link check: every relative link target in the repo's *.md
    files must exist on disk (anchors and external URLs are skipped).
-2. Config/EngineConfig drift check, both directions:
-   * every `Config`/`EngineConfig` member named in README.md, DESIGN.md or
+2. Knob drift check over `Config`, `EngineConfig`, `serve::ServerConfig`
+   and `tune::TunerOptions`, both directions:
+   * every member of those structs named in README.md, DESIGN.md or
      docs/ARCHITECTURE.md — via ``Struct::field`` references or a row of
      the README parameter tables — must still exist in the headers
-     (src/core/config.hpp, src/runtime/engine.hpp), so renames/removals
-     cannot leave stale docs behind;
-   * every field of the two structs must appear in README.md, so new
+     (src/core/config.hpp, src/runtime/engine.hpp, src/serve/server.hpp,
+     src/tune/tuner.hpp), so renames/removals cannot leave stale docs
+     behind;
+   * every field of the four structs must appear in README.md, so new
      knobs cannot ship undocumented.
 3. Change-log completeness: CHANGES.md carries one `- PR <n> ·` entry per
    merged PR, numbered contiguously from 1 (newest last); when the full
@@ -46,41 +48,56 @@ DOC_FILES = ["README.md", "DESIGN.md", "docs/ARCHITECTURE.md"]
 SKIP_DIRS = {"build", "build-asan", "build-tsan", ".git"}
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
-REF_RE = re.compile(r"`(Config|EngineConfig)::(\w+)`")
+# The documented knob structs: name -> (header, README table marker).
+STRUCTS = {
+    "Config": ("src/core/config.hpp", "`acs::Config`"),
+    "EngineConfig": ("src/runtime/engine.hpp",
+                     "`acs::runtime::EngineConfig`"),
+    "ServerConfig": ("src/serve/server.hpp", "`acs::serve::ServerConfig`"),
+    "TunerOptions": ("src/tune/tuner.hpp", "`acs::tune::TunerOptions`"),
+}
+REF_RE = re.compile(r"`(?:[\w:]*::)?(" + "|".join(STRUCTS) + r")::(\w+)`")
 TABLE_ROW_RE = re.compile(r"^\|\s*`(\w+)`\s*\|")
 
 
 def parse_struct_members(header: Path, struct_name: str) -> set[str]:
-    """Member fields and methods of `struct <name> {...};` (brace-counted)."""
+    """Member fields and methods of `struct <name> {...};`.
+
+    Top-level statements of the body are joined across lines (a field may
+    wrap its type, name or brace initializer) and stripped of template
+    arguments, then named by the last identifier before the first `(` (a
+    method), or before the first `=`, `{` or `;` (a field). Method bodies
+    are skipped by brace counting.
+    """
     text = header.read_text()
     start = text.find(f"struct {struct_name} {{")
     if start < 0:
         sys.exit(f"error: struct {struct_name} not found in {header}")
-    depth = 0
-    body_lines: list[str] = []
-    for line in text[start:].splitlines():
-        depth += line.count("{") - line.count("}")
-        body_lines.append(line)
-        if depth == 0 and body_lines[1:]:
-            break
     members: set[str] = set()
-    for line in body_lines[1:]:
-        stripped = line.split("//")[0].strip()
-        # methods:  [[nodiscard]] int temp_capacity() const { ... }
-        m = re.match(r"(?:\[\[nodiscard\]\]\s*)?[\w:<>,\s*&]+?\b(\w+)\s*\(",
-                     stripped)
-        if m and not stripped.startswith(("if", "for", "return", "friend")):
-            members.add(m.group(1))
+    depth = 0
+    statement = ""
+    for line in text[start:].splitlines():
+        code = line.split("//")[0].strip()
+        opened = depth
+        depth += code.count("{") - code.count("}")
+        if opened == 0:
+            continue  # the `struct <name> {` line itself
+        if depth <= 0:
+            break
+        if opened > 1 or not code:
+            continue  # inside a method body, or blank / comment-only
+        statement += " " + code
+        if depth == 1 and not code.endswith((";", "}")):
+            continue  # the declaration continues on the next line
+        decl, statement = statement.strip(), ""
+        if decl.startswith(("friend", "using", "static_assert", "}")):
             continue
-        # fields:   int threads = 256;   sim::DeviceConfig device{};
-        m = re.match(r"[\w:<>,\s*&]+?\b(\w+)\s*(?:=[^;]*|\{\s*\})?;$", stripped)
-        if m:
-            members.add(m.group(1))
-            continue
-        # continuation line of a multi-line declaration:  make_alloc_policy;
-        m = re.match(r"^(\w+)\s*;$", stripped)
-        if m:
-            members.add(m.group(1))
+        while re.search(r"<[^<>]*>", decl):  # drop template arguments
+            decl = re.sub(r"<[^<>]*>", "", decl)
+        head = re.split(r"[=({;]", decl, maxsplit=1)[0]
+        names = re.findall(r"\w+", head)
+        if names:
+            members.add(names[-1])
     return members
 
 
@@ -92,12 +109,9 @@ def doc_field_references(path: Path) -> list[tuple[str, str, int]]:
         for struct, field in REF_RE.findall(line):
             refs.append((struct, field, lineno))
         # README parameter tables: track which struct the table documents.
-        if "`acs::Config`" in line or "(`acs::Config`" in line:
-            current_table = "Config"
-        elif "EngineConfig" in line and "`acs::runtime::EngineConfig`" in line:
-            current_table = "EngineConfig"
-        elif line.startswith("## ") or line.startswith("**"):
-            pass  # section prose does not end a table by itself
+        for struct, (_, marker) in STRUCTS.items():
+            if marker in line:
+                current_table = struct
         m = TABLE_ROW_RE.match(line)
         if m and current_table and m.group(1) not in ("field",):
             refs.append((current_table, m.group(1), lineno))
@@ -128,12 +142,9 @@ def check_links() -> list[str]:
 
 def check_drift() -> list[str]:
     errors = []
-    members = {
-        "Config": parse_struct_members(REPO / "src/core/config.hpp", "Config"),
-        "EngineConfig": parse_struct_members(
-            REPO / "src/runtime/engine.hpp", "EngineConfig"),
-    }
-    documented: dict[str, set[str]] = {"Config": set(), "EngineConfig": set()}
+    members = {struct: parse_struct_members(REPO / header, struct)
+               for struct, (header, _) in STRUCTS.items()}
+    documented: dict[str, set[str]] = {struct: set() for struct in STRUCTS}
     for rel in DOC_FILES:
         path = REPO / rel
         if not path.exists():
@@ -146,10 +157,12 @@ def check_drift() -> list[str]:
                     f"{rel}:{lineno}: documents {struct}::{field}, which no "
                     f"longer exists in the header")
     # Completeness: every real field must be documented in the README tables.
-    readme_refs = {f for _, f, _ in doc_field_references(REPO / "README.md")}
+    readme_refs = {(s, f) for s, f, _ in
+                   doc_field_references(REPO / "README.md")}
     for struct, fields in members.items():
         for field in sorted(fields):
-            if field not in readme_refs and field not in documented[struct]:
+            if (struct, field) not in readme_refs and \
+                    field not in documented[struct]:
                 errors.append(
                     f"README.md: {struct}::{field} exists in the header but "
                     f"is documented nowhere")
@@ -320,9 +333,9 @@ def main() -> int:
     if errors:
         print(f"check_docs: {len(errors)} problem(s)", file=sys.stderr)
         return 1
-    print("check_docs: links, Config/EngineConfig docs, CHANGES.md, the "
-          "architecture map, the backend table and the mutex table are in "
-          "sync")
+    print("check_docs: links, the Config/EngineConfig/ServerConfig/"
+          "TunerOptions docs, CHANGES.md, the architecture map, the backend "
+          "table and the mutex table are in sync")
     return 0
 
 
