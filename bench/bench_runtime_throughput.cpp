@@ -11,12 +11,10 @@
 ///    behaviour and per-pattern convergence.
 /// The pool is deliberately under-provisioned (tight estimate) so the cold
 /// runs pay the paper's restart protocol and the warm runs demonstrate the
-/// feedback loop. A native lane then replays the mixed workload on two
-/// engines differing only in `EngineConfig::arch` — SimTitanXp vs.
-/// NativeCpu (docs/BACKENDS.md) — and gates native warm throughput at >= 2x
-/// the simulated engine's: the native backend skips all cost-model
-/// accounting and runs wall-clock-lean ESC/merge primitives, so its only
-/// job is to be fast.
+/// feedback loop. A native lane then replays the mixed workload on
+/// NativeCpu (docs/BACKENDS.md) and gates its wall time against the lean
+/// sequential floor, `spa_multiply`: both backends run the same kernels,
+/// so what sets NativeCpu apart is how close to the floor they run.
 /// Emits JSON (stdout + bench_out/bench_runtime_throughput.json) with
 /// jobs/s, plan-cache hit rate, pool reuse bytes, restart counts and the
 /// per-stage simulated-time breakdown aggregated over each batch's jobs
@@ -34,19 +32,22 @@
 ///   must cut restarts from the closed-form guess's ~80 to ≤8 with
 ///   bit-identical outputs, and the estimated pool must sit within [1x, 4x]
 ///   of the observed high-water mark for ≥90% of the suite's jobs.
-///   --native runs only the native-vs-sim lane and its 2x gate (the CI
+///   --native runs only the native lane and its floor gate (the CI
 ///   NativeCpu lane).
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "arch/arch_id.hpp"
+#include "baselines/spa_gustavson.hpp"
 #include "core/acspgemm.hpp"
 #include "matrix/coo.hpp"
 #include "matrix/generators.hpp"
@@ -83,7 +84,8 @@ std::vector<Pair> repeated_pattern_batch(std::size_t count) {
   return pairs;
 }
 
-std::vector<Pair> mixed_pattern_batch(std::size_t count) {
+/// The mixed workload's four structures; mixed_pattern_batch cycles them.
+std::vector<Pair> mixed_pattern_structures() {
   std::vector<Pair> pool;
   const auto s = acs::gen_stencil_2d<double>(48, 48, 11);
   pool.emplace_back(s, s);
@@ -93,7 +95,11 @@ std::vector<Pair> mixed_pattern_batch(std::size_t count) {
   pool.emplace_back(u, u);
   const auto d = acs::gen_block_dense<double>(600, 600, 16, 3, 14);
   pool.emplace_back(d, d);
+  return pool;
+}
 
+std::vector<Pair> mixed_pattern_batch(std::size_t count) {
+  const std::vector<Pair> pool = mixed_pattern_structures();
   std::vector<Pair> pairs;
   pairs.reserve(count);
   for (std::size_t j = 0; j < count; ++j) pairs.push_back(pool[j % pool.size()]);
@@ -156,15 +162,24 @@ void emit_workload(std::ostream& os, const std::string& name,
      << "  }" << (last ? "\n" : ",\n");
 }
 
-/// Native-vs-sim A/B on the mixed workload: two engines identical except
-/// for `EngineConfig::arch`. Both are measured warm (second batch), where
-/// plan caching has stripped the setup work both backends share and what
-/// remains is block execution — exactly the work the native backend
-/// replaces with wall-clock-lean primitives. `native_threads = 1` keeps
-/// the comparison per-core honest: engine workers already saturate the
-/// host, so per-job threading would only add oversubscription noise.
+/// The native lane on the mixed workload. Gate: NativeCpu's warm wall
+/// time against `spa_multiply` over the same pairs, on one core. The
+/// native side runs the Config a one-worker NativeCpu engine with
+/// `native_threads = 1` runs (`runtime::apply_arch`), from warm plans,
+/// on the thread that runs the floor: an engine worker may sit on another
+/// core, and a busy neighbour there skews every slice of a run. Each of
+/// five slices runs the batch job by job, alternating which side goes
+/// first, and keeps each structure's best time per side, so a burst of
+/// host noise does not decide the slice; the slice ratio is the sum of the
+/// native bests over the sum of the floor bests, and the gate reads the
+/// median slice. One-worker SimTitanXp and NativeCpu engines report warm
+/// jobs/s, ungated, and their outputs are checked against each other.
+constexpr int kFloorSlices = 5;
+constexpr double kMaxFloorRatio = 1.75;
+
 struct NativeReport {
   acs::BatchBenchResult sim_warm, native_warm;
+  std::vector<double> floor_ratios;  ///< native_s / spa_s, per slice
   bool identical = false;  ///< native outputs bit-identical to sim's
 
   [[nodiscard]] double speedup() const {
@@ -172,15 +187,29 @@ struct NativeReport {
                ? native_warm.jobs_per_s / sim_warm.jobs_per_s
                : 0.0;
   }
+  [[nodiscard]] double floor_ratio() const {
+    std::vector<double> r = floor_ratios;
+    std::sort(r.begin(), r.end());
+    return r.empty() ? 0.0 : r[r.size() / 2];
+  }
 };
 
-NativeReport run_native_lane(const std::vector<Pair>& pairs,
-                             unsigned workers) {
+template <class F>
+double wall_s(F&& f) {
+  const auto t0 = std::chrono::steady_clock::now();
+  f();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+NativeReport run_native_lane(std::size_t jobs) {
   const acs::Config cfg = bench_config();
+  const std::vector<Pair> structures = mixed_pattern_structures();
+  const std::vector<Pair> pairs = mixed_pattern_batch(jobs);
   NativeReport rep;
 
   acs::runtime::EngineConfig sim_ec;
-  sim_ec.workers = workers;
+  sim_ec.workers = 1;
   acs::runtime::Engine<double> sim(sim_ec);
   acs::run_engine_batch(sim, pairs, cfg, "sim_cold");
   rep.sim_warm = acs::run_engine_batch(sim, pairs, cfg, "sim_warm");
@@ -192,14 +221,45 @@ NativeReport run_native_lane(const std::vector<Pair>& pairs,
   acs::run_engine_batch(native, pairs, cfg, "native_cold");
   rep.native_warm = acs::run_engine_batch(native, pairs, cfg, "native_warm");
 
+  acs::Config nat_cfg = cfg;
+  acs::runtime::apply_arch(nat_cfg, nat_ec);
+  std::vector<acs::SpgemmPlan> plans(structures.size());
+  for (std::size_t k = 0; k < structures.size(); ++k)
+    (void)acs::multiply_planned(structures[k].first, structures[k].second,
+                                nat_cfg, plans[k]);
+  for (int slice = 0; slice < kFloorSlices; ++slice) {
+    constexpr double kNone = std::numeric_limits<double>::infinity();
+    std::vector<double> native_best(structures.size(), kNone);
+    std::vector<double> floor_best(structures.size(), kNone);
+    for (std::size_t j = 0; j < std::max(jobs, structures.size()); ++j) {
+      const std::size_t k = j % structures.size();
+      const auto& [a, b] = structures[k];
+      const auto run_floor = [&] {
+        const double t = wall_s([&] { (void)acs::spa_multiply(a, b); });
+        floor_best[k] = std::min(floor_best[k], t);
+      };
+      const bool spa_first = (j + static_cast<std::size_t>(slice)) % 2 == 1;
+      if (spa_first) run_floor();
+      const double t = wall_s(
+          [&] { (void)acs::multiply_planned(a, b, nat_cfg, plans[k]); });
+      native_best[k] = std::min(native_best[k], t);
+      if (!spa_first) run_floor();
+    }
+    double native_s = 0.0, floor_s = 0.0;
+    for (std::size_t k = 0; k < structures.size(); ++k) {
+      native_s += native_best[k];
+      floor_s += floor_best[k];
+    }
+    rep.floor_ratios.push_back(native_s / floor_s);
+  }
+
   // The speed must not come from different answers: spot-check the lane's
   // distinct structures through both engines (NativeCpu's bit-identity is
   // property-tested across the generator sweep in tests/test_arch.cpp).
   rep.identical = true;
-  for (std::size_t j = 0; j < std::min<std::size_t>(pairs.size(), 4); ++j) {
-    const auto rs = sim.submit(pairs[j].first, pairs[j].second, cfg).result().c;
-    const auto rn =
-        native.submit(pairs[j].first, pairs[j].second, cfg).result().c;
+  for (const auto& [a, b] : structures) {
+    const auto rs = sim.submit(a, b, cfg).result().c;
+    const auto rn = native.submit(a, b, cfg).result().c;
     rep.identical = rep.identical && rs.equals_exact(rn);
   }
   return rep;
@@ -210,17 +270,24 @@ void emit_native(std::ostream& os, const NativeReport& rep, bool last) {
   emit(os, rep.sim_warm, false);
   emit(os, rep.native_warm, false);
   os << "    \"native_speedup_vs_sim\": " << rep.speedup() << ",\n"
+     << "    \"floor_ratio_slices\": [";
+  for (std::size_t i = 0; i < rep.floor_ratios.size(); ++i)
+    os << (i ? ", " : "") << rep.floor_ratios[i];
+  os << "],\n    \"floor_ratio_median\": " << rep.floor_ratio() << ",\n"
      << "    \"outputs_bit_identical\": " << (rep.identical ? "true" : "false")
      << "\n  }" << (last ? "\n" : ",\n");
 }
 
-/// The native lane's gate (also run standalone via --native): NativeCpu
-/// warm throughput >= 2x the simulated engine's, bit-identical outputs.
+/// The native lane's gate (also run standalone via --native): NativeCpu's
+/// median warm wall time at most kMaxFloorRatio times the floor's, with
+/// bit-identical outputs.
 int gate_native(const NativeReport& rep) {
-  const bool ok = rep.speedup() >= 2.0 && rep.identical;
-  std::cerr << "native-vs-sim warm speedup (mixed): " << rep.speedup()
-            << "x, outputs bit-identical: " << (rep.identical ? "yes" : "NO")
-            << (ok ? "  [ok]" : "  [BELOW TARGET]") << "\n";
+  const bool ok = rep.floor_ratio() <= kMaxFloorRatio && rep.identical;
+  std::cerr << "native / spa_multiply wall time (mixed, one core, median of "
+            << kFloorSlices << "): " << rep.floor_ratio() << " (slices";
+  for (const double r : rep.floor_ratios) std::cerr << ' ' << r;
+  std::cerr << "), outputs bit-identical: " << (rep.identical ? "yes" : "NO")
+            << (ok ? "  [ok]" : "  [ABOVE TARGET]") << "\n";
   return ok ? 0 : 1;
 }
 
@@ -310,12 +377,11 @@ int main(int argc, char** argv) {
           ? static_cast<unsigned>(std::atoi(positional[1]))
           : std::min(4u, std::max(1u, std::thread::hardware_concurrency()));
 
-  if (native_only)
-    return gate_native(run_native_lane(mixed_pattern_batch(jobs), workers));
+  if (native_only) return gate_native(run_native_lane(jobs));
 
   const BatchReport repeated = run_workload(repeated_pattern_batch(jobs), workers);
   const BatchReport mixed = run_workload(mixed_pattern_batch(jobs), workers);
-  const NativeReport native = run_native_lane(mixed_pattern_batch(jobs), workers);
+  const NativeReport native = run_native_lane(jobs);
 
   std::ostringstream json;
   json << "{\n  \"bench\": \"runtime_throughput\", \"jobs_per_batch\": " << jobs
@@ -347,7 +413,7 @@ int main(int argc, char** argv) {
 
   // The PR's acceptance criteria, checked where the numbers are produced:
   // warm engine >= 1.5x naive jobs/s with zero restarts after warm-up, and
-  // the native lane's 2x gate.
+  // the native lane's floor gate.
   const bool ok =
       repeated.warm_speedup() >= 1.5 && repeated.warm.restarts == 0;
   std::cerr << "repeated-pattern warm speedup: " << repeated.warm_speedup()

@@ -75,9 +75,8 @@ struct SimBigDevice {
 /// ESC working set, and keeping it identical keeps outputs bit-identical
 /// to the simulated backend (arch/invariants.hpp pins the equality; the
 /// differential sweep in tests/test_arch.cpp observes it). What changes is
-/// the execution kind: blocks run on the host thread pool with
-/// wall-clock-lean primitives (arch/native_exec.hpp) and the simulated
-/// cost model off.
+/// the execution kind: blocks run the same kernels on the host thread pool,
+/// and their counters are not priced by the simulated cost model.
 struct NativeCpu {
   static constexpr ArchId kId = ArchId::kNativeCpu;
   static constexpr ExecKind kExec = ExecKind::kNative;

@@ -24,8 +24,8 @@ enum class ArchId : std::uint32_t {
   /// block shapes the Titan Xp must prune (e.g. nnz_per_block = 1024 with
   /// double values) are feasible here, so the tuner's grid widens.
   kSimBigDevice = 1,
-  /// Native CPU execution: the same block algorithms run on the host
-  /// thread pool for wall-clock throughput, with the simulated cost model
+  /// Native CPU execution: the same block kernels run on the host thread
+  /// pool for wall-clock throughput, with the simulated cost model
   /// switched off. Block geometry mirrors SimTitanXp, so outputs are
   /// bit-identical to the simulated backend.
   kNativeCpu = 2,
@@ -33,11 +33,11 @@ enum class ArchId : std::uint32_t {
 
 /// How a backend executes blocks (selected per job via `Config::exec`).
 enum class ExecKind : std::uint32_t {
-  /// Charge every block's work to the simulated device cost model
-  /// (sim::schedule_blocks); stats report simulated kernel times.
+  /// Price every kernel's block counters with the simulated device cost
+  /// model (sim::schedule_blocks); stats report simulated kernel times.
   kSimulated = 0,
-  /// Skip the device cost model entirely and use wall-clock-lean
-  /// primitives; stats report zero simulated time.
+  /// Skip the device cost model; stats report zero simulated time. The
+  /// blocks run the same kernels and charge the same counters.
   kNative = 1,
 };
 

@@ -5,6 +5,8 @@
 /// (1) combines values with equal sort keys, (2) counts compacted elements
 /// per row and (3) counts compacted elements overall — giving every element
 /// its position in the output chunk and its local offset in the row.
+/// `compact_sorted` executes that scan; `compact_sorted_into`, the kernel
+/// both backends run, computes the same result in one pass.
 ///
 /// State-word layout (32 bits), matching Algorithm 3's constants:
 ///   bit  0        end-of-combine-sequence flag
@@ -101,10 +103,69 @@ struct CompactionOutput {
   std::vector<std::pair<index_t, index_t>> rows;
 };
 
-/// Compact a buffer sorted by `keys` (ascending): sum values of equal keys
-/// (left to right, preserving the deterministic accumulation order the
-/// paper's bit-stability rests on) and report per-row counts. Charges one
-/// block scan of the buffer to `m`.
+/// Throws when `n` elements would overflow the 15-bit scan counters. They
+/// silently wrap into the neighbouring flag/counter fields past
+/// kCounterMask, corrupting every extracted position — so the bound is
+/// enforced even under NDEBUG. Upstream, Pipeline::validate caps
+/// temp_capacity() and run_merge_block caps windows, so a throw here means
+/// a caller bypassed both (tests/test_invariants.cpp exercises the boundary
+/// from both sides).
+inline void check_compaction_size(const char* who, std::size_t n) {
+  if (n > compaction_detail::kCounterMask)
+    throw std::length_error(
+        std::string(who) + ": " + std::to_string(n) +
+        " elements exceed the 15-bit scan counters (max " +
+        std::to_string(compaction_detail::kCounterMask) + ")");
+}
+
+/// The compaction both backends run: one left-to-right pass over a buffer
+/// sorted by `keys` (ascending) that sums the values of equal keys and
+/// records (row, count) pairs at row ends. It computes exactly what
+/// `compact_sorted`'s Algorithm 3 scan computes — same association, same
+/// layout — and is held to the same counter bound. Clears `out` but keeps
+/// its capacity, so a caller reusing one output allocates nothing in the
+/// steady state. The GPU's work for it, one block scan (n scan elements
+/// and n scratchpad ops), is charged by the caller.
+template <class T>
+void compact_sorted_into(std::span<const std::uint64_t> keys,
+                         std::span<const T> vals, const KeyCodec& codec,
+                         CompactionOutput<T>& out) {
+  out.keys.clear();
+  out.vals.clear();
+  out.rows.clear();
+  const std::size_t n = keys.size();
+  assert(vals.size() == n);
+  check_compaction_size("compact_sorted_into", n);
+  if (n == 0) return;
+
+  std::uint64_t run_key = keys[0];
+  T run_val = vals[0];
+  index_t row_count = 0;
+  for (std::size_t i = 1; i <= n; ++i) {
+    if (i < n && keys[i] == run_key) {
+      // Same association as the inclusive scan: accumulate left to right.
+      run_val = run_val + vals[i];
+      continue;
+    }
+    out.keys.push_back(run_key);
+    out.vals.push_back(run_val);
+    ++row_count;
+    if (i == n || !codec.same_row(keys[i], run_key)) {
+      out.rows.emplace_back(codec.row_of(run_key), row_count);
+      row_count = 0;
+    }
+    if (i < n) {
+      run_key = keys[i];
+      run_val = vals[i];
+    }
+  }
+}
+
+/// Compact a buffer sorted by `keys` (ascending) with Algorithm 3's packed
+/// scan, executed element by element: sum values of equal keys (left to
+/// right, preserving the deterministic accumulation order the paper's
+/// bit-stability rests on) and report per-row counts. Charges one block
+/// scan of the buffer to `m`. The test oracle for `compact_sorted_into`.
 template <class T>
 CompactionOutput<T> compact_sorted(std::span<const std::uint64_t> keys,
                                    std::span<const T> vals,
@@ -113,17 +174,7 @@ CompactionOutput<T> compact_sorted(std::span<const std::uint64_t> keys,
   namespace cd = compaction_detail;
   const std::size_t n = keys.size();
   assert(vals.size() == n);
-  // The 15-bit counters silently wrap into the neighbouring flag/counter
-  // fields past kCounterMask, corrupting every extracted position — so the
-  // bound is enforced even under NDEBUG. Upstream, Pipeline::validate caps
-  // temp_capacity() and run_merge_block caps windows, so a throw here means
-  // a caller bypassed both (tests/test_invariants.cpp exercises the
-  // boundary from both sides).
-  if (n > cd::kCounterMask)
-    throw std::length_error(
-        "compact_sorted: " + std::to_string(n) +
-        " elements exceed the 15-bit scan counters (max " +
-        std::to_string(cd::kCounterMask) + ")");
+  check_compaction_size("compact_sorted", n);
 
   CompactionOutput<T> out;
   if (n == 0) return out;

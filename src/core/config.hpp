@@ -108,12 +108,12 @@ struct Config {
   trace::TraceSession* trace = nullptr;
   /// Simulated device.
   sim::DeviceConfig device{};
-  /// How blocks execute (arch backend selection, normally set by the
-  /// runtime engine from `EngineConfig::arch`): `kSimulated` (default)
-  /// charges every block to the simulated cost model of `device`;
-  /// `kNative` runs the same block algorithms with wall-clock-lean
-  /// primitives and zero simulated time (stage times and device-traffic
-  /// metrics then read 0 / near-0). Results are bit-identical either way —
+  /// Whether the modeled clock runs (arch backend selection, normally set
+  /// by the runtime engine from `EngineConfig::arch`). Both kinds run the
+  /// same block kernels and charge the same `SpgemmStats::metrics`.
+  /// `kSimulated` (default) prices each kernel's block counters with the
+  /// cost model of `device`; `kNative` skips the pricing, so `sim_time_s`
+  /// and every stage time read 0. Results are bit-identical either way —
   /// the ESC/merge geometry still comes from `device`, so keep `device` at
   /// the arch's values (docs/BACKENDS.md).
   arch::ExecKind exec = arch::ExecKind::kSimulated;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "arch/native_exec.hpp"
 #include "core/compaction.hpp"
 #include "core/sort_key.hpp"
 #include "core/work_distribution.hpp"
@@ -12,11 +11,6 @@
 
 namespace acs {
 namespace {
-
-// The native compaction enforces the exact counter bound the scan
-// emulation does; the mirror must never drift.
-static_assert(arch::kNativeCompactMaxElements ==
-              compaction_detail::kCounterMask);
 
 /// Build a chunk from a prefix of the compaction output.
 /// Rows [0, row_count) of `out` with their entries are materialized;
@@ -52,55 +46,45 @@ inline void charge_chunk_write(sim::MetricCounters& m, std::size_t bytes,
   m.atomic_ops += 1 + rows_in_chunk + 2;
 }
 
-/// One expanded product awaiting sort.
-template <class T>
-struct Product {
-  index_t lrow, col;
-  T val;
-};
-
-/// Per-thread buffers of one ESC block invocation. The simulated path
-/// constructs a fresh instance per block (the GPU's per-launch scratch);
-/// the native path reuses one thread_local instance across blocks, which
-/// removes every steady-state allocation from the hot loop — the single
-/// biggest wall-clock win of the NativeCpu backend (docs/BACKENDS.md).
+/// Per-thread buffers of the ESC block. One thread_local instance serves
+/// every block a thread runs, on either backend, so the steady state
+/// allocates nothing in the hot loop.
 template <class T>
 struct EscWorkspace {
   std::vector<index_t> a_row;
   std::vector<index_t> local_row;
   std::vector<offset_t> counts;
   std::vector<index_t> long_entries;
-  std::vector<WorkDistribution::Item> items;
   std::vector<std::uint64_t> keys;
   std::vector<T> vals;
-  std::vector<Product<T>> prods;
   std::vector<index_t> car_col;
   std::vector<T> car_val;
-  arch::NativeSortScratch<std::uint64_t, T> sort;
+  sim::RadixSortScratch<std::uint64_t, T> sort;
   CompactionOutput<T> compaction;
 
-  static EscWorkspace& native_instance() {
+  static EscWorkspace& instance() {
     thread_local EscWorkspace ws;
     return ws;
   }
 };
 
-/// The ESC block algorithm (Sections 3.2, 3.4), shared by both backends.
-/// `kNative` selects the execution policy, never the mathematics: the
-/// native path reuses the thread-local workspace, expands and encodes each
-/// drawn product in one pass, and keeps the sort-then-compact pipeline with
-/// lean primitives — arch::native_radix_sort (stable LSD, so the same
-/// permutation as the simulated block radix sort) followed by
-/// arch::native_compact_sorted (the Algorithm 3 scan's left-to-right
-/// combination of equal keys in one pass). It also skips the
-/// simulated-traffic accounting. Outputs are bit-identical by construction;
-/// tests/test_arch.cpp sweeps the differential generators over both paths
-/// to observe it.
-template <class T, bool kNative>
-EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
-                                     std::span<const index_t> block_row_starts,
-                                     std::size_t block_id, const Config& cfg,
-                                     ChunkPool& pool, BlockState<T>& state) {
+}  // namespace
+
+/// The ESC block algorithm (Sections 3.2, 3.4), one kernel for both
+/// backends. Each iteration draws its products through the work
+/// distribution, expands and encodes them in one pass, sorts them with
+/// sim::radix_sort (stable LSD, so the permutation of the GPU's block radix
+/// sort) and compacts them with compact_sorted_into (Algorithm 3's
+/// left-to-right combination of equal keys, in one pass). The GPU's work is
+/// charged in closed form from quantities the loop already sees: products
+/// drawn, B-row segments visited, the width the GPU sorts and the buffer
+/// size. The backend only decides whether Pipeline::record_stage prices
+/// these counters.
+template <class T>
+EscBlockResult<T> run_esc_block(const Csr<T>& a, const Csr<T>& b,
+                                std::span<const index_t> block_row_starts,
+                                std::size_t block_id, const Config& cfg,
+                                ChunkPool& pool, BlockState<T>& state) {
   EscBlockResult<T> res;
   sim::MetricCounters& m = res.metrics;
 
@@ -113,15 +97,12 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
     return res;
   }
 
-  EscWorkspace<T> local_ws;
-  EscWorkspace<T>& ws =
-      kNative ? EscWorkspace<T>::native_instance() : local_ws;
+  EscWorkspace<T>& ws = EscWorkspace<T>::instance();
 
   // --- Fetch A (Section 3.2.1): coalesced load of the block's non-zeros,
   // column ids and (via the row pointer) row ids.
-  if constexpr (!kNative)
-    m.global_bytes_coalesced +=
-        static_cast<std::uint64_t>(entries) * (sizeof(index_t) + sizeof(T));
+  m.global_bytes_coalesced +=
+      static_cast<std::uint64_t>(entries) * (sizeof(index_t) + sizeof(T));
 
   std::vector<index_t>& a_row = ws.a_row;
   a_row.resize(static_cast<std::size_t>(entries));
@@ -132,12 +113,9 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
       while (a.row_ptr[static_cast<std::size_t>(row) + 1] <= o) ++row;
       a_row[static_cast<std::size_t>(i)] = row;
     }
-    if constexpr (!kNative) {
-      const index_t rows_in_block =
-          a_row.back() - a_row.front() + 1;
-      m.global_bytes_coalesced +=
-          static_cast<std::uint64_t>(rows_in_block + 1) * sizeof(index_t);
-    }
+    const index_t rows_in_block = a_row.back() - a_row.front() + 1;
+    m.global_bytes_coalesced +=
+        static_cast<std::uint64_t>(rows_in_block + 1) * sizeof(index_t);
   }
 
   // Row dictionary: local row id = index of the row's first non-zero in the
@@ -162,12 +140,10 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
   for (index_t i = 0; i < entries; ++i) {
     const index_t acol = a.col_idx[static_cast<std::size_t>(begin + i)];
     const index_t blen = b.row_length(acol);
-    if constexpr (!kNative) {
-      // Row-pointer pair lookup: column-local inputs keep one of the two
-      // reads in cache; the other misses.
-      m.global_bytes_scattered += sizeof(index_t);
-      m.global_bytes_coalesced += sizeof(index_t);
-    }
+    // Row-pointer pair lookup: column-local inputs keep one of the two
+    // reads in cache; the other misses.
+    m.global_bytes_scattered += sizeof(index_t);
+    m.global_bytes_coalesced += sizeof(index_t);
     if (cfg.long_row_handling && blen >= long_threshold) {
       counts[static_cast<std::size_t>(i)] = 0;
       long_entries.push_back(i);
@@ -192,8 +168,7 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
       res.needs_restart = true;
       return res;
     }
-    if constexpr (!kNative)
-      charge_chunk_write(m, chunk.byte_size(), 1);
+    charge_chunk_write(m, chunk.byte_size(), 1);
     ACS_TRACE_COUNT(cfg.trace, pool_alloc_bytes, chunk.byte_size());
     ACS_TRACE_COUNT(cfg.trace, chunks_written, 1);
     ACS_TRACE_COUNT(cfg.trace, long_row_chunks, 1);
@@ -219,15 +194,18 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
   car_val.assign(state.carry_vals.begin(), state.carry_vals.end());
   // The restored carry is reloaded from global memory (spilled there when
   // the previous launch stopped).
-  if constexpr (!kNative)
-    m.global_bytes_coalesced += car_col.size() * (sizeof(index_t) + sizeof(T));
+  m.global_bytes_coalesced += car_col.size() * (sizeof(index_t) + sizeof(T));
 
   std::vector<std::uint64_t>& keys = ws.keys;
   std::vector<T>& vals = ws.vals;
 
-  // Static column width of the native path's fused encoding (see below).
-  [[maybe_unused]] const int static_col_bits =
+  // Static column width of the fused encoding (see below), and the static
+  // key width the GPU sorts without dynamic bit reduction.
+  const int static_col_bits =
       sim::bits_for(static_cast<std::uint64_t>(b.cols - 1));
+  const int static_key_bits =
+      sim::bits_for(static_cast<std::uint64_t>(cfg.nnz_per_block - 1)) +
+      static_col_bits;
 
   // Block-level spans only in detail mode (a span per local ESC iteration
   // is far too hot for always-on tracing; see DESIGN.md §7).
@@ -244,151 +222,95 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
     const std::size_t n =
         static_cast<std::size_t>(carried) + static_cast<std::size_t>(consume);
 
-    KeyCodec codec = KeyCodec::make(
-        0, 0, 0, 0, false, static_cast<index_t>(cfg.nnz_per_block - 1),
-        b.cols - 1);
-    if constexpr (kNative) {
-      // --- Fused receive + expand + encode: each drawn product is touched
-      // exactly once — the item and product staging buffers of the simulated
-      // path (the GPU's scatter into scratchpad) never materialize. The
-      // segment visit hands over one B-row run per A entry, so the A-side
-      // loads (value, local row, B row base) hoist out of the per-product
-      // loop and the inner loop streams one row of B. The key row base is
-      // known before the sweep (the carried row or the first pending A
-      // entry, whichever is lower — drawn local rows are non-decreasing
-      // because consumption sweeps the block's A entries in order), and the
-      // column width is static, so keys encode final-form in the same pass.
-      // The sort order and decoded (row, column) pairs — all that downstream
-      // consumes — are unchanged by the encoding choice, so this stays
-      // bit-identical to the simulated path's dynamic-bits codec.
-      keys.resize(n);
-      vals.resize(n);
-      const index_t first_lrow =
-          local_row[static_cast<std::size_t>(wd.first_pending())];
-      const index_t row_lo =
-          carried > 0 ? std::min(carried_local_row, first_lrow) : first_lrow;
-      std::size_t w = static_cast<std::size_t>(carried);
-      index_t last_lrow_drawn = carried > 0 ? carried_local_row : first_lrow;
-      wd.receive_visit_segments(consume, [&](index_t a_idx, index_t b_lo,
-                                             index_t b_hi) {
-        const std::size_t ai = static_cast<std::size_t>(begin + a_idx);
-        const index_t lrow = local_row[static_cast<std::size_t>(a_idx)];
-        last_lrow_drawn = lrow;
-        const std::uint64_t krow =
-            static_cast<std::uint64_t>(lrow - row_lo) << static_col_bits;
-        const T aval = a.values[ai];
-        const std::size_t base =
-            static_cast<std::size_t>(b.row_ptr[usize(a.col_idx[ai])]);
-        const index_t* bcol = b.col_idx.data() + base;
-        const T* bval = b.values.data() + base;
-        for (index_t off = b_hi; off-- > b_lo;) {
-          keys[w] = krow | static_cast<std::uint64_t>(bcol[off]);
-          vals[w] = aval * bval[off];
-          ++w;
-        }
-      });
+    // --- Fused receive + expand + encode: each drawn product is touched
+    // exactly once, and no item or product buffer materializes. The
+    // segment visit hands over one B-row run per A entry, so the A-side
+    // loads (value, local row, B row base) hoist out of the per-product
+    // loop and the inner loop streams one row of B. The key row base is
+    // known before the sweep (the carried row or the first pending A
+    // entry, whichever is lower — drawn local rows are non-decreasing
+    // because consumption sweeps the block's A entries in order), and the
+    // column width is static, so keys encode final-form in the same pass.
+    // The sort permutation and the decoded (row, column) pairs do not
+    // depend on the encoding.
+    keys.resize(n);
+    vals.resize(n);
+    const index_t first_lrow =
+        local_row[static_cast<std::size_t>(wd.first_pending())];
+    const index_t row_lo =
+        carried > 0 ? std::min(carried_local_row, first_lrow) : first_lrow;
+    std::size_t w = static_cast<std::size_t>(carried);
+    index_t last_lrow_drawn = carried > 0 ? carried_local_row : first_lrow;
+    std::uint64_t segments = 0;
+    wd.receive_visit_segments(
+        consume,
+        [&](index_t a_idx, index_t b_lo, index_t b_hi) {
+          ++segments;
+          const std::size_t ai = static_cast<std::size_t>(begin + a_idx);
+          const index_t lrow = local_row[static_cast<std::size_t>(a_idx)];
+          last_lrow_drawn = lrow;
+          const std::uint64_t krow = static_cast<std::uint64_t>(lrow - row_lo)
+                                     << static_col_bits;
+          const T aval = a.values[ai];
+          const std::size_t base =
+              static_cast<std::size_t>(b.row_ptr[usize(a.col_idx[ai])]);
+          const index_t* bcol = b.col_idx.data() + base;
+          const T* bval = b.values.data() + base;
+          for (index_t off = b_hi; off-- > b_lo;) {
+            keys[w] = krow | static_cast<std::uint64_t>(bcol[off]);
+            vals[w] = aval * bval[off];
+            ++w;
+          }
+        },
+        m);
+    // Expansion: each product loads one element of B (column and value)
+    // coalesced, and each B-row segment costs one extra transaction.
+    const auto drawn = static_cast<std::uint64_t>(consume);
+    m.global_bytes_coalesced += drawn * (sizeof(index_t) + sizeof(T));
+    m.global_bytes_scattered += 32 * segments;
+    m.flops += 2 * drawn;
 
-      const index_t row_hi = std::max(
-          last_lrow_drawn, carried > 0 ? carried_local_row : last_lrow_drawn);
-      codec = KeyCodec::make(row_lo, row_hi, 0, b.cols - 1, true,
-                             static_cast<index_t>(cfg.nnz_per_block - 1),
-                             b.cols - 1);
-      // Carried elements first (stable sort keeps them ahead of new products
-      // with equal keys, preserving prefix-sum accumulation).
-      for (index_t i = 0; i < carried; ++i) {
-        keys[static_cast<std::size_t>(i)] = codec.encode(
-            carried_local_row, car_col[static_cast<std::size_t>(i)]);
-        vals[static_cast<std::size_t>(i)] =
-            car_val[static_cast<std::size_t>(i)];
-      }
-    } else {
-      std::vector<WorkDistribution::Item>& items = ws.items;
-      std::vector<Product<T>>& prods = ws.prods;
-      items.clear();
-      wd.receive(consume, items, m);
-
-      // --- Expand: load the assigned B elements and multiply. Track the
-      // dynamic key ranges and the coalescing structure (consecutive items
-      // of the same A entry read consecutive B elements).
-      keys.resize(n);
-      vals.resize(n);
-
-      index_t min_col = b.cols, max_col = 0;
-      index_t min_lrow = entries, max_lrow = 0;
-      for (index_t c : car_col) {
-        min_col = std::min(min_col, c);
-        max_col = std::max(max_col, c);
-      }
-      if (carried > 0) {
-        min_lrow = std::min(min_lrow, carried_local_row);
-        max_lrow = std::max(max_lrow, carried_local_row);
-      }
-
-      prods.resize(items.size());
-      index_t prev_a = -1;
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        const auto [a_idx, b_off] = items[i];
-        const index_t acol = a.col_idx[static_cast<std::size_t>(begin + a_idx)];
-        const index_t bk = b.row_ptr[usize(acol)] + b_off;
-        const index_t bcol = b.col_idx[static_cast<std::size_t>(bk)];
-        const T prod = a.values[static_cast<std::size_t>(begin + a_idx)] *
-                       b.values[static_cast<std::size_t>(bk)];
-        prods[i] = {local_row[static_cast<std::size_t>(a_idx)], bcol, prod};
-        min_col = std::min(min_col, bcol);
-        max_col = std::max(max_col, bcol);
-        min_lrow = std::min(min_lrow, prods[i].lrow);
-        max_lrow = std::max(max_lrow, prods[i].lrow);
-        m.global_bytes_coalesced += sizeof(index_t) + sizeof(T);
-        if (a_idx != prev_a) {
-          // New B-row segment: one extra memory transaction of overhead.
-          m.global_bytes_scattered += 32;
-          prev_a = a_idx;
-        }
-      }
-      m.flops += 2 * items.size();
-
-      codec = KeyCodec::make(
-          min_lrow, std::max(min_lrow, max_lrow), min_col,
-          std::max(min_col, max_col), cfg.dynamic_bits,
-          static_cast<index_t>(cfg.nnz_per_block - 1), b.cols - 1);
-
-      // Buffer layout: carried elements first (stable sort keeps them ahead
-      // of new products with equal keys, preserving prefix-sum
-      // accumulation).
-      for (index_t i = 0; i < carried; ++i) {
-        keys[static_cast<std::size_t>(i)] = codec.encode(
-            carried_local_row, car_col[static_cast<std::size_t>(i)]);
-        vals[static_cast<std::size_t>(i)] =
-            car_val[static_cast<std::size_t>(i)];
-      }
-      for (std::size_t i = 0; i < prods.size(); ++i) {
-        keys[static_cast<std::size_t>(carried) + i] =
-            codec.encode(prods[i].lrow, prods[i].col);
-        vals[static_cast<std::size_t>(carried) + i] = prods[i].val;
-      }
+    const index_t row_hi = std::max(
+        last_lrow_drawn, carried > 0 ? carried_local_row : last_lrow_drawn);
+    const KeyCodec codec =
+        KeyCodec::make(row_lo, row_hi, 0, b.cols - 1, true,
+                       static_cast<index_t>(cfg.nnz_per_block - 1), b.cols - 1);
+    // Carried elements first (stable sort keeps them ahead of new products
+    // with equal keys, preserving prefix-sum accumulation).
+    for (index_t i = 0; i < carried; ++i) {
+      keys[static_cast<std::size_t>(i)] =
+          codec.encode(carried_local_row, car_col[static_cast<std::size_t>(i)]);
+      vals[static_cast<std::size_t>(i)] = car_val[static_cast<std::size_t>(i)];
     }
 
-    // --- Sort (block radix sort over the reduced bit range). Both sorts
-    // are stable LSD ascending, so the permutation is identical; the
-    // native one just uses wider digits and reused scratch.
-    if constexpr (kNative)
-      arch::native_radix_sort(std::span(keys), std::span(vals),
-                              codec.total_bits(), ws.sort);
-    else
-      sim::block_radix_sort(std::span(keys), std::span(vals),
-                            codec.total_bits(), m);
-
-    // --- Compress (Algorithm 3 scan; the native path runs the single-pass
-    // equivalent with the same left-to-right value association).
-    if constexpr (kNative)
-      arch::native_compact_sorted(
-          std::span<const std::uint64_t>(keys), std::span<const T>(vals),
-          codec, ws.compaction);
-    else
-      ws.compaction = compact_sorted<T>(std::span<const std::uint64_t>(keys),
-                                        std::span<const T>(vals), codec, m);
+    // --- Sort, then compress (Algorithm 3's combination in one pass).
+    sim::radix_sort(std::span(keys), std::span(vals), codec.total_bits(),
+                    ws.sort);
+    compact_sorted_into(std::span<const std::uint64_t>(keys),
+                        std::span<const T>(vals), codec, ws.compaction);
     const CompactionOutput<T>& out = ws.compaction;
     assert(!out.rows.empty());
+
+    // The GPU sorts the reduced key (Section 3.2.3): the local row range as
+    // encoded plus the column range, or the static width without bit
+    // reduction. Every distinct key survives compaction, so the compacted
+    // keys span the buffer's columns. Then one block scan compacts.
+    int sorted_bits = static_key_bits;
+    if (cfg.dynamic_bits) {
+      index_t min_col = b.cols;
+      index_t max_col = 0;
+      for (const std::uint64_t k : out.keys) {
+        min_col = std::min(min_col, codec.col_of(k));
+        max_col = std::max(max_col, codec.col_of(k));
+      }
+      sorted_bits =
+          codec.row_bits() +
+          sim::bits_for(static_cast<std::uint64_t>(max_col - min_col));
+    }
+    m.sort_pass_elements +=
+        n * static_cast<std::uint64_t>(sim::radix_passes(sorted_bits));
+    m.scan_elements += n;
+    m.scratch_ops += n;
 
     const index_t last_lrow = out.rows.back().first;
     const bool more = wd.size() > 0;
@@ -411,17 +333,14 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
         state.carry_row = carried_local_row;
         state.carry_cols.assign(car_col.begin(), car_col.end());
         state.carry_vals.assign(car_val.begin(), car_val.end());
-        if constexpr (!kNative)
-          m.global_bytes_coalesced +=
-              car_col.size() * (sizeof(index_t) + sizeof(T));
+        m.global_bytes_coalesced +=
+            car_col.size() * (sizeof(index_t) + sizeof(T));
         res.needs_restart = true;
         return res;
       }
-      if constexpr (!kNative) {
-        charge_chunk_write(m, chunk.byte_size(), write_rows);
-        // Staging round trip through scratchpad for coalesced writes.
-        m.scratch_ops += 2 * chunk.cols.size();
-      }
+      charge_chunk_write(m, chunk.byte_size(), write_rows);
+      // Staging round trip through scratchpad for coalesced writes.
+      m.scratch_ops += 2 * chunk.cols.size();
       ACS_TRACE_COUNT(cfg.trace, pool_alloc_bytes, chunk.byte_size());
       ACS_TRACE_COUNT(cfg.trace, chunks_written, 1);
       res.chunks.push_back(std::move(chunk));
@@ -449,20 +368,6 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
 
   state.finished = true;
   return res;
-}
-
-}  // namespace
-
-template <class T>
-EscBlockResult<T> run_esc_block(const Csr<T>& a, const Csr<T>& b,
-                                std::span<const index_t> block_row_starts,
-                                std::size_t block_id, const Config& cfg,
-                                ChunkPool& pool, BlockState<T>& state) {
-  if (cfg.exec == arch::ExecKind::kNative)
-    return run_esc_block_impl<T, true>(a, b, block_row_starts, block_id, cfg,
-                                       pool, state);
-  return run_esc_block_impl<T, false>(a, b, block_row_starts, block_id, cfg,
-                                      pool, state);
 }
 
 template EscBlockResult<float> run_esc_block(const Csr<float>&,

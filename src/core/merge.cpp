@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "arch/native_exec.hpp"
 #include "core/compaction.hpp"
 #include "core/sort_key.hpp"
 #include "sim/block_primitives.hpp"
@@ -33,7 +32,7 @@ struct Gathered {
 /// Load all segments of the batch. Pointer chunks materialize `factor × row
 /// of B` on the fly (coalesced read of the long row); regular segments read
 /// the chunk payload (coalesced, one transaction overhead per segment).
-template <class T, bool kNative>
+template <class T>
 void gather(const MergeBatch& batch, const std::vector<Chunk<T>>& chunks,
             const Csr<T>& b, sim::MetricCounters& m, Gathered<T>& g) {
   g.lrow.clear();
@@ -52,12 +51,9 @@ void gather(const MergeBatch& batch, const std::vector<Chunk<T>>& chunks,
           g.val.push_back(chunk.factor *
                           b.values[static_cast<std::size_t>(start + i)]);
         }
-        if constexpr (!kNative) {
-          m.global_bytes_coalesced +=
-              static_cast<std::uint64_t>(chunk.long_len) *
-              (sizeof(index_t) + sizeof(T));
-          m.flops += 2 * static_cast<std::uint64_t>(chunk.long_len);
-        }
+        m.global_bytes_coalesced += static_cast<std::uint64_t>(chunk.long_len) *
+                                    (sizeof(index_t) + sizeof(T));
+        m.flops += 2 * static_cast<std::uint64_t>(chunk.long_len);
       } else {
         for (index_t i = 0; i < seg.length; ++i) {
           g.lrow.push_back(static_cast<index_t>(r));
@@ -66,11 +62,9 @@ void gather(const MergeBatch& batch, const std::vector<Chunk<T>>& chunks,
           g.val.push_back(
               chunk.vals[static_cast<std::size_t>(seg.begin + i)]);
         }
-        if constexpr (!kNative) {
-          m.global_bytes_coalesced += static_cast<std::uint64_t>(seg.length) *
-                                      (sizeof(index_t) + sizeof(T));
-          m.global_bytes_scattered += 32;  // segment-start transaction
-        }
+        m.global_bytes_coalesced += static_cast<std::uint64_t>(seg.length) *
+                                    (sizeof(index_t) + sizeof(T));
+        m.global_bytes_scattered += 32;  // segment-start transaction
       }
     }
   }
@@ -124,41 +118,44 @@ void charge_cut_discovery(MergeKind kind, const MergeBatch& batch,
   }
 }
 
-/// Reusable merge-block buffers. The native backend keeps one instance per
-/// scheduler thread alive across blocks (and multiplications) so the steady
-/// state allocates nothing; the simulated backend uses a fresh local per
-/// call, preserving its historical allocation behaviour.
+/// Reusable merge-block buffers: one instance per scheduler thread, alive
+/// across blocks (and multiplications) on either backend, so the steady
+/// state allocates nothing.
 template <class T>
 struct MergeWorkspace {
   Gathered<T> g;
   std::vector<std::uint64_t> keys;
   std::vector<std::pair<std::size_t, std::size_t>> windows;  // [begin, end)
-  arch::NativeSortScratch<std::uint64_t, T> sort;
+  sim::RadixSortScratch<std::uint64_t, T> sort;
   CompactionOutput<T> compaction;
 
-  static MergeWorkspace& native_instance() {
+  static MergeWorkspace& instance() {
     thread_local MergeWorkspace ws;
     return ws;
   }
 };
 
-template <class T, bool kNative>
-MergeOutcome<T> run_merge_block_impl(const MergeBatch& batch,
-                                     const std::vector<Chunk<T>>& chunks,
-                                     const Csr<T>& b, const Config& cfg,
-                                     ChunkPool& pool, MergeKind kind,
-                                     std::size_t windows_done_start,
-                                     std::uint32_t order_block) {
+}  // namespace
+
+/// One merge block, one kernel for both backends: gather, sort with
+/// sim::radix_sort, then compact each window with compact_sorted_into. The
+/// GPU's work is charged in closed form: the block radix sort's
+/// n × passes over the codec's width, and one block scan per window.
+template <class T>
+MergeOutcome<T> run_merge_block(const MergeBatch& batch,
+                                const std::vector<Chunk<T>>& chunks,
+                                const Csr<T>& b, const Config& cfg,
+                                ChunkPool& pool, MergeKind kind,
+                                std::size_t windows_done_start,
+                                std::uint32_t order_block) {
   MergeOutcome<T> out;
   out.windows_done = windows_done_start;
   sim::MetricCounters& m = out.metrics;
 
-  MergeWorkspace<T> local_ws;
-  MergeWorkspace<T>& ws =
-      kNative ? MergeWorkspace<T>::native_instance() : local_ws;
+  MergeWorkspace<T>& ws = MergeWorkspace<T>::instance();
 
   Gathered<T>& g = ws.g;
-  gather<T, kNative>(batch, chunks, b, m, g);
+  gather(batch, chunks, b, m, g);
   const std::size_t n = g.col.size();
   if (n == 0) return out;
 
@@ -173,12 +170,10 @@ MergeOutcome<T> run_merge_block_impl(const MergeBatch& batch,
   keys.resize(n);
   for (std::size_t i = 0; i < n; ++i)
     keys[i] = codec.encode(g.lrow[i], g.col[i]);
-  if constexpr (kNative)
-    arch::native_radix_sort(std::span(keys), std::span(g.val),
-                            codec.total_bits(), ws.sort);
-  else
-    sim::block_radix_sort(std::span(keys), std::span(g.val),
-                          codec.total_bits(), m);
+  sim::radix_sort(std::span(keys), std::span(g.val), codec.total_bits(),
+                  ws.sort);
+  m.sort_pass_elements +=
+      n * static_cast<std::uint64_t>(sim::radix_passes(codec.total_bits()));
 
   // Window the sorted buffer: never split a key group across windows, and
   // keep each window within the block's scratchpad capacity.
@@ -208,25 +203,19 @@ MergeOutcome<T> run_merge_block_impl(const MergeBatch& batch,
     const auto [begin, end] = windows[w];
     if (w < windows_done_start) continue;  // already written before restart
     ACS_TRACE_SCOPE(detail_trace, "merge.window");
-    if constexpr (!kNative) {
-      if (kind != MergeKind::Multi || w > 0)
-        charge_cut_discovery(kind, batch, chunks, cfg, m);
-    }
+    if (kind != MergeKind::Multi || w > 0)
+      charge_cut_discovery(kind, batch, chunks, cfg, m);
 
     Chunk<T> chunk;
     chunk.order = {order_block, static_cast<std::uint32_t>(w)};
 
     const std::size_t wn = end - begin;
     if (wn <= compaction_detail::kCounterMask) {
-      if constexpr (kNative)
-        arch::native_compact_sorted(
-            std::span<const std::uint64_t>(keys).subspan(begin, wn),
-            std::span<const T>(g.val).subspan(begin, wn), codec,
-            ws.compaction);
-      else
-        ws.compaction = compact_sorted<T>(
-            std::span(keys).subspan(begin, wn),
-            std::span<const T>(g.val).subspan(begin, wn), codec, m);
+      compact_sorted_into(
+          std::span<const std::uint64_t>(keys).subspan(begin, wn),
+          std::span<const T>(g.val).subspan(begin, wn), codec, ws.compaction);
+      m.scan_elements += wn;
+      m.scratch_ops += wn;
       const CompactionOutput<T>& c = ws.compaction;
       chunk.row_offsets.push_back(0);
       index_t entries = 0;
@@ -243,13 +232,11 @@ MergeOutcome<T> run_merge_block_impl(const MergeBatch& batch,
       // than fit in a block): sequential accumulation in chained passes.
       T sum = g.val[begin];
       for (std::size_t j = begin + 1; j < end; ++j) sum += g.val[j];
-      if constexpr (!kNative) {
-        m.scan_elements += wn;
-        // The wn-1 additions are useful floating-point work just like the
-        // compaction path's combines — uncharged they vanish from the Fig. 7
-        // breakdown on duplicate-heavy inputs.
-        m.flops += static_cast<std::uint64_t>(wn - 1);
-      }
+      m.scan_elements += wn;
+      // The wn-1 additions are useful floating-point work just like the
+      // compaction path's combines — uncharged they vanish from the Fig. 7
+      // breakdown on duplicate-heavy inputs.
+      m.flops += static_cast<std::uint64_t>(wn - 1);
       chunk.rows.push_back(
           batch.rows[static_cast<std::size_t>(codec.row_of(keys[begin]))]);
       chunk.row_offsets = {0, 1};
@@ -261,32 +248,15 @@ MergeOutcome<T> run_merge_block_impl(const MergeBatch& batch,
       out.needs_restart = true;
       return out;
     }
-    if constexpr (!kNative)
-      charge_chunk_write(m, chunk.byte_size(), chunk.rows.size());
+    charge_chunk_write(m, chunk.byte_size(), chunk.rows.size());
     ACS_TRACE_COUNT(cfg.trace, pool_alloc_bytes, chunk.byte_size());
     ACS_TRACE_COUNT(cfg.trace, chunks_written, 1);
     ACS_TRACE_COUNT(cfg.trace, merge_windows, 1);
-    if constexpr (!kNative) m.scratch_ops += 2 * chunk.cols.size();
+    m.scratch_ops += 2 * chunk.cols.size();
     out.chunks.push_back(std::move(chunk));
     out.windows_done = w + 1;
   }
   return out;
-}
-
-}  // namespace
-
-template <class T>
-MergeOutcome<T> run_merge_block(const MergeBatch& batch,
-                                const std::vector<Chunk<T>>& chunks,
-                                const Csr<T>& b, const Config& cfg,
-                                ChunkPool& pool, MergeKind kind,
-                                std::size_t windows_done_start,
-                                std::uint32_t order_block) {
-  if (cfg.exec == arch::ExecKind::kNative)
-    return run_merge_block_impl<T, true>(batch, chunks, b, cfg, pool, kind,
-                                         windows_done_start, order_block);
-  return run_merge_block_impl<T, false>(batch, chunks, b, cfg, pool, kind,
-                                        windows_done_start, order_block);
 }
 
 template MergeOutcome<float> run_merge_block(

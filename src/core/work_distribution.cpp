@@ -27,10 +27,7 @@ void WorkDistribution::receive(offset_t consume, std::vector<Item>& out,
     out.push_back({static_cast<index_t>(a),
                    static_cast<index_t>(state_[a + 1] - c - 1)});
   }
-  // Charge the GPU-side cost of the assignment: marker scatter, max scan and
-  // the blocked->striped exchange all touch `consume` slots.
-  m.scan_elements += static_cast<std::uint64_t>(consume);
-  m.scratch_ops += 3 * static_cast<std::uint64_t>(consume);
+  charge_assignment(consume, m);
   reduce(consume, m);
 }
 

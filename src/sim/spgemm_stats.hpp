@@ -22,7 +22,9 @@ struct SpgemmStats {
   /// Total simulated execution time (all kernel launches + restarts).
   double sim_time_s = 0.0;
   /// Host wall-clock time of the simulation itself (not a paper metric, but
-  /// useful for harness sanity checks).
+  /// useful for harness sanity checks). For AC-SpGEMM it also covers the
+  /// pipeline's teardown, which frees the chunks and the per-row segment
+  /// lists.
   double wall_time_s = 0.0;
   /// Lowest multiprocessor load over the substantive kernels (Table 3 "mpL").
   double multiprocessor_load = 1.0;

@@ -3,12 +3,14 @@
 ///  * tag sanity — every compiled-in tag round-trips through ArchId,
 ///    to_string/parse_arch, arch_info and dispatch_arch, and SimTitanXp's
 ///    induced device equals the pre-arch simulator defaults exactly;
-///  * the native block primitives (arch/native_exec.hpp) are drop-in
-///    equivalents of the simulated ones: same sort permutation, same
-///    compaction layout, same left-to-right value association;
+///  * the kernels both backends run (sim::radix_sort, compact_sorted_into)
+///    are drop-in equivalents of the emulated GPU primitives they replace:
+///    same sort permutation, same compaction layout, same left-to-right
+///    value association;
 ///  * the NativeCpu backend is bit-identical to the simulated pipeline on
 ///    a full differential generator sweep — float and double, one and many
-///    scheduler threads, long rows, shrunken block shapes;
+///    scheduler threads, long rows, shrunken block shapes — and at one
+///    scheduler thread it charges the same metrics;
 ///  * `apply_arch` resolves EngineConfig backends into runnable Configs,
 ///    and an Engine on NativeCpu produces bit-identical results with zero
 ///    simulated time;
@@ -26,7 +28,6 @@
 #include <vector>
 
 #include "arch/arch.hpp"
-#include "arch/native_exec.hpp"
 #include "core/acspgemm.hpp"
 #include "core/compaction.hpp"
 #include "core/sort_key.hpp"
@@ -116,9 +117,8 @@ TEST(NativePrimitives, RadixSortMatchesSimPermutationIncludingStability) {
 
     auto nat_keys = keys;
     auto nat_vals = vals;
-    arch::NativeSortScratch<std::uint64_t, double> scratch;
-    arch::native_radix_sort(std::span(nat_keys), std::span(nat_vals), bits,
-                            scratch);
+    sim::RadixSortScratch<std::uint64_t, double> scratch;
+    sim::radix_sort(std::span(nat_keys), std::span(nat_vals), bits, scratch);
     EXPECT_EQ(nat_keys, sim_keys) << "bits=" << bits;
     EXPECT_EQ(nat_vals, sim_vals) << "bits=" << bits;
   }
@@ -149,8 +149,8 @@ TEST(NativePrimitives, CompactionMatchesSimLayoutAndAssociation) {
       std::span<const std::uint64_t>(keys), std::span<const double>(vals),
       codec, m);
   CompactionOutput<double> natc;
-  arch::native_compact_sorted(std::span<const std::uint64_t>(keys),
-                              std::span<const double>(vals), codec, natc);
+  compact_sorted_into(std::span<const std::uint64_t>(keys),
+                      std::span<const double>(vals), codec, natc);
   EXPECT_EQ(natc.keys, simc.keys);
   EXPECT_EQ(natc.vals, simc.vals);  // element-exact: same association
   EXPECT_EQ(natc.rows, simc.rows);
@@ -158,14 +158,13 @@ TEST(NativePrimitives, CompactionMatchesSimLayoutAndAssociation) {
 
 TEST(NativePrimitives, CompactionEnforcesTheSameCounterBound) {
   const KeyCodec codec = KeyCodec::make(0, 0, 0, 0, false, 255, 1 << 20);
-  std::vector<std::uint64_t> keys(arch::kNativeCompactMaxElements + 1);
+  std::vector<std::uint64_t> keys(compaction_detail::kCounterMask + 1);
   for (std::size_t i = 0; i < keys.size(); ++i)
     keys[i] = codec.encode(0, static_cast<index_t>(i));
   const std::vector<double> vals(keys.size(), 1.0);
   CompactionOutput<double> out;
-  EXPECT_THROW(arch::native_compact_sorted(std::span<const std::uint64_t>(keys),
-                                           std::span<const double>(vals),
-                                           codec, out),
+  EXPECT_THROW(compact_sorted_into(std::span<const std::uint64_t>(keys),
+                                   std::span<const double>(vals), codec, out),
                std::length_error);
 }
 
@@ -174,17 +173,23 @@ TEST(NativePrimitives, CompactionEnforcesTheSameCounterBound) {
 /// Multiply under the simulated default and under NativeCpu (one and four
 /// scheduler threads); all three results must be bit-identical. No
 /// quantization: the native backend promises the exact same floating-point
-/// program, so even untamed values must match to the last bit.
+/// program, so even untamed values must match to the last bit. Both
+/// backends run the same kernels, so at one scheduler thread (where the
+/// restart count is deterministic) they also charge the same metrics.
 template <class T>
 void expect_native_matches_sim(const Csr<T>& a, const Csr<T>& b, Config cfg,
                                const std::string& label) {
-  const Csr<T> sim_out = multiply(a, b, cfg);
+  SpgemmStats sim_stats;
+  const Csr<T> sim_out = multiply(a, b, cfg, &sim_stats);
 
   Config nat = cfg;
   nat.exec = arch::ExecKind::kNative;
   nat.device = arch::device_config<arch::NativeCpu>();
-  const Csr<T> nat1 = multiply(a, b, nat);
+  SpgemmStats nat_stats;
+  const Csr<T> nat1 = multiply(a, b, nat, &nat_stats);
   EXPECT_TRUE(nat1.equals_exact(sim_out)) << label << ": native-1 vs sim";
+  EXPECT_EQ(nat_stats.metrics, sim_stats.metrics)
+      << label << ": native-1 vs sim metrics";
 
   nat.scheduler_threads = 4;
   const Csr<T> nat4 = multiply(a, b, nat);

@@ -8,29 +8,6 @@
 namespace acs::sim {
 namespace {
 
-TEST(BlockPrimitives, InclusiveScanSum) {
-  std::vector<int> v{1, 2, 3, 4};
-  MetricCounters m;
-  inclusive_scan(std::span<int>(v), m);
-  EXPECT_EQ(v, (std::vector<int>{1, 3, 6, 10}));
-  EXPECT_EQ(m.scan_elements, 4u);
-}
-
-TEST(BlockPrimitives, ExclusiveSumReturnsTotal) {
-  std::vector<int> v{5, 1, 2};
-  MetricCounters m;
-  const int total = exclusive_sum(std::span<int>(v), m);
-  EXPECT_EQ(total, 8);
-  EXPECT_EQ(v, (std::vector<int>{0, 5, 6}));
-}
-
-TEST(BlockPrimitives, MaxScan) {
-  std::vector<int> v{3, 1, 4, 1, 5, 2};
-  MetricCounters m;
-  inclusive_max_scan(std::span<int>(v), m);
-  EXPECT_EQ(v, (std::vector<int>{3, 3, 4, 4, 5, 5}));
-}
-
 TEST(BlockPrimitives, RadixPasses) {
   EXPECT_EQ(radix_passes(0), 0);
   EXPECT_EQ(radix_passes(1), 1);
@@ -102,21 +79,6 @@ TEST(BlockPrimitives, RadixSortHandlesTinyInputs) {
   std::vector<int> p1{0};
   block_radix_sort(std::span(one), std::span(p1), 10, m);
   EXPECT_EQ(one[0], 5u);
-}
-
-TEST(BlockPrimitives, BlockedToStripedRoundtripLayout) {
-  // 2 threads, 3 items each: blocked [a0 a1 a2 b0 b1 b2] ->
-  // striped [a0 b0 a1 b1 a2 b2].
-  std::vector<int> v{0, 1, 2, 10, 11, 12};
-  MetricCounters m;
-  blocked_to_striped(std::span(v), 2, m);
-  EXPECT_EQ(v, (std::vector<int>{0, 10, 1, 11, 2, 12}));
-}
-
-TEST(BlockPrimitives, BlockedToStripedRejectsRaggedSize) {
-  std::vector<int> v{1, 2, 3};
-  MetricCounters m;
-  EXPECT_THROW(blocked_to_striped(std::span(v), 2, m), std::invalid_argument);
 }
 
 }  // namespace

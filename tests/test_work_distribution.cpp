@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <vector>
 
 namespace acs {
@@ -117,6 +118,49 @@ TEST(WorkDistribution, ConsumedTracksTotal) {
   wd.receive(4, items, m);
   EXPECT_EQ(wd.consumed(), 7);
   EXPECT_EQ(wd.size(), 3);
+}
+
+TEST(WorkDistribution, VisitSegmentsMatchesTheReceiveOracle) {
+  // The ESC kernel draws through receive_visit_segments; receive is the
+  // item-by-item oracle. Over seeded random counts (zeros included) and
+  // draw sizes, with and without a restart's fast_forward first, the visit
+  // must cover exactly the items receive emits, in the same order, and
+  // charge the same counters.
+  std::mt19937_64 rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<offset_t> c(1 + rng() % 40);
+    for (auto& n : c)
+      n = rng() % 3 == 0 ? 0 : static_cast<offset_t>(rng() % 9);
+    sim::MetricCounters m_oracle, m_visit;
+    WorkDistribution oracle(c, m_oracle), visit(c, m_visit);
+    if (trial % 2 == 1 && oracle.size() > 0) {
+      const auto skip = static_cast<offset_t>(
+          rng() % static_cast<std::uint64_t>(oracle.size()));
+      oracle.fast_forward(skip, m_oracle);
+      visit.fast_forward(skip, m_visit);
+    }
+    while (oracle.size() > 0) {
+      const offset_t draw = std::min<offset_t>(
+          oracle.size(), 1 + static_cast<offset_t>(rng() % 12));
+      std::vector<WorkDistribution::Item> expected;
+      oracle.receive(draw, expected, m_oracle);
+      std::vector<WorkDistribution::Item> got;
+      visit.receive_visit_segments(
+          draw,
+          [&got](index_t a, index_t b_lo, index_t b_hi) {
+            for (index_t off = b_hi; off-- > b_lo;) got.push_back({a, off});
+          },
+          m_visit);
+      ASSERT_EQ(got.size(), expected.size()) << "trial " << trial;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].a_idx, expected[i].a_idx) << "trial " << trial;
+        EXPECT_EQ(got[i].b_off, expected[i].b_off) << "trial " << trial;
+      }
+      EXPECT_EQ(m_visit, m_oracle) << "trial " << trial;
+      EXPECT_EQ(visit.size(), oracle.size());
+      EXPECT_EQ(visit.consumed(), oracle.consumed());
+    }
+  }
 }
 
 TEST(WorkDistribution, EmptyDistribution) {
