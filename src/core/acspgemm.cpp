@@ -26,26 +26,6 @@
 namespace acs {
 namespace {
 
-/// Point the scheduler's block attribution at `session` (null turns it off)
-/// for the guard's scope, restoring the previous sink on exit (the engine's
-/// warm schedulers outlive many jobs).
-class SchedulerTraceGuard {
- public:
-  SchedulerTraceGuard(sim::BlockScheduler& scheduler,
-                      trace::TraceSession* session)
-      : scheduler_(scheduler), previous_(scheduler.trace()) {
-    scheduler_.set_trace(session);
-  }
-  ~SchedulerTraceGuard() { scheduler_.set_trace(previous_); }
-
-  SchedulerTraceGuard(const SchedulerTraceGuard&) = delete;
-  SchedulerTraceGuard& operator=(const SchedulerTraceGuard&) = delete;
-
- private:
-  sim::BlockScheduler& scheduler_;
-  trace::TraceSession* previous_;
-};
-
 using sim::uniform_block_split;
 
 /// Output entries per chunk-copy task. An output under two grains, or a
@@ -91,6 +71,7 @@ class Pipeline {
         stats_(stats),
         plan_(plan),
         trace_(cfg.trace),
+        timed_blocks_(cfg.trace ? &block_times_ : nullptr),
         own_scheduler_(scheduler ? 1 : cfg.scheduler_threads),
         scheduler_(scheduler ? *scheduler : own_scheduler_),
         initial_pool_(validated_pool_bytes(a, b, cfg, plan)),
@@ -101,7 +82,6 @@ class Pipeline {
   }
 
   Csr<T> run() {
-    SchedulerTraceGuard trace_guard(scheduler_, trace_);
     ACS_TRACE_SCOPE(trace_, "multiply");
     stats_.intermediate_products = intermediate_products(a_, b_);
     global_load_balance();
@@ -205,10 +185,8 @@ class Pipeline {
   /// Per-round restart bookkeeping shared by the ESC and merge stages.
   void record_restart_round(std::size_t failed_blocks) {
     stats_.pool_denials += failed_blocks;
-    ACS_TRACE_COUNT(trace_, pool_denials, failed_blocks);
     if (failed_blocks == 0) return;
     ++stats_.restarts;
-    ACS_TRACE_COUNT(trace_, restarts, 1);
     grow_pool_after_restart();
   }
 
@@ -261,6 +239,7 @@ class Pipeline {
       ACS_TRACE_SPAN(span, trace_, "ESC");
       std::vector<EscBlockResult<T>> results(pending.size());
       scheduler_.for_each_block(pending.size(), [&](std::size_t i) {
+        trace::BlockTimer timer(timed_blocks_);
         results[i] = run_esc_block<T>(a_, b_, block_row_starts_, pending[i],
                                       cfg_, pool_, block_states_[pending[i]]);
       });
@@ -270,10 +249,10 @@ class Pipeline {
       std::vector<std::size_t> failed;
       for (std::size_t i = 0; i < results.size(); ++i) {
         launch_metrics.push_back(results[i].metrics);
-        stats_.esc_iterations += static_cast<std::size_t>(results[i].iterations);
-        ACS_TRACE_HOOK(trace_, acs_trace.counters().record_esc_block(
-                                   static_cast<std::uint64_t>(
-                                       results[i].iterations)));
+        const auto iterations = static_cast<std::size_t>(results[i].iterations);
+        stats_.esc_iterations += iterations;
+        ++tallies_.esc_blocks;
+        ++tallies_.esc_iteration_hist[trace::esc_hist_bucket(iterations)];
         for (auto& chunk : results[i].chunks) {
           if (chunk.is_long_row) ++stats_.long_row_chunks;
           chunks_.push_back(std::move(chunk));
@@ -366,19 +345,10 @@ class Pipeline {
       }
     }
     flush_multi();
-
-    ACS_TRACE_HOOK(trace_, {
-      auto& rows = acs_trace.counters().merge_case_rows;
-      std::uint64_t multi_rows = 0;
-      for (const MergeBatch& batch : multi) multi_rows += batch.rows.size();
-      // mo: trace counters; consumers snapshot them after the run joins.
-      rows[trace::kMultiMerge].fetch_add(multi_rows, std::memory_order_relaxed);
-      // mo: same as above.
-      rows[trace::kPathMerge].fetch_add(path.size(), std::memory_order_relaxed);
-      // mo: same as above.
-      rows[trace::kSearchMerge].fetch_add(search.size(),
-                                          std::memory_order_relaxed);
-    });
+    // Every shared row not sent to Path or Search Merge is Multi Merged.
+    tallies_.merge_case_rows = {
+        shared_rows.size() - path.size() - search.size(), path.size(),
+        search.size()};
 
     run_merge_kind("MM", MergeKind::Multi, multi);
     run_merge_kind("PM", MergeKind::Path, path);
@@ -394,8 +364,8 @@ class Pipeline {
       return;
     }
     ACS_TRACE_SPAN(stage_span, trace_, stage);
+    // Per task: the windows written so far, where a relaunch resumes.
     std::vector<std::size_t> windows_done(batches.size(), 0);
-    std::vector<bool> done(batches.size(), false);
     std::vector<std::size_t> pending(batches.size());
     for (std::size_t i = 0; i < batches.size(); ++i) pending[i] = i;
 
@@ -405,6 +375,7 @@ class Pipeline {
     while (!pending.empty()) {
       std::vector<MergeOutcome<T>> results(pending.size());
       scheduler_.for_each_block(pending.size(), [&](std::size_t i) {
+        trace::BlockTimer timer(timed_blocks_);
         const std::size_t t = pending[i];
         results[i] = run_merge_block<T>(
             batches[t], chunks_, b_, cfg_, pool_, kind, windows_done[t],
@@ -416,6 +387,7 @@ class Pipeline {
       for (std::size_t i = 0; i < results.size(); ++i) {
         const std::size_t t = pending[i];
         launch_metrics.push_back(results[i].metrics);
+        tallies_.merge_windows += results[i].chunks.size();
         // Append the new chunks and retarget the merged rows' segments.
         std::vector<std::size_t> new_ids;
         for (auto& chunk : results[i].chunks) {
@@ -439,9 +411,8 @@ class Pipeline {
             row_nnz_[static_cast<std::size_t>(chunk.rows[r])] += len;
           }
         }
-        windows_done[t] += new_ids.size();
-        if (!results[i].needs_restart) done[t] = true;
-        else failed.push_back(t);
+        windows_done[t] = results[i].windows_done;
+        if (results[i].needs_restart) failed.push_back(t);
       }
       stage_span.add_sim_time(record_stage(stage, launch_metrics));
       record_restart_round(failed.size());
@@ -470,9 +441,6 @@ class Pipeline {
     const std::size_t tasks =
         scheduler_.threads() > 1 && n >= 2 * kCopyGrain ? divup(n, kCopyGrain)
                                                         : 1;
-    // Copy tasks split host work; they are not modeled blocks, so they stay
-    // out of the scheduler's block attribution counters.
-    SchedulerTraceGuard untimed(scheduler_, nullptr);
     if (tasks > 1) {
       // Arrays this large are typically past the allocator's mmap
       // threshold, so every run maps them afresh, and value-initializing
@@ -563,9 +531,6 @@ class Pipeline {
     stats_.pool_used_bytes = pool_.used();
     stats_.pool_estimate_bytes = initial_pool_;
     stats_.chunks_created = chunks_.size();
-    ACS_TRACE_GAUGE_MAX(trace_, pool_capacity_bytes, pool_.capacity());
-    ACS_TRACE_GAUGE_MAX(trace_, pool_used_bytes, pool_.used());
-    ACS_TRACE_GAUGE_MAX(trace_, pool_estimate_bytes, initial_pool_);
     // Refresh the plan: the load-balancing table (unless it came from the
     // plan already) and the final pool capacity. The capacity includes any
     // restart growth, so replaying the plan on the same pattern needs no
@@ -583,6 +548,24 @@ class Pipeline {
             (sizeof(index_t) + 8 + sizeof(index_t)) +  // row counters, list
                                                        // heads, shared rows
         chunks_.size() * 8;                            // chunk pointer array
+    if (trace_) trace_->counters().add(trace_record());
+  }
+
+  /// The run's one trace record: the facts `stats_` already holds, plus
+  /// the tallies only the trace reports.
+  [[nodiscard]] trace::CountersSnapshot trace_record() const {
+    trace::CountersSnapshot r = tallies_;
+    r.pool_alloc_bytes = pool_.used();
+    r.pool_denials = stats_.pool_denials;
+    r.pool_capacity_bytes = stats_.pool_bytes;
+    r.pool_used_bytes = stats_.pool_used_bytes;
+    r.pool_estimate_bytes = stats_.pool_estimate_bytes;
+    r.restarts = static_cast<std::uint64_t>(stats_.restarts);
+    r.esc_iterations = stats_.esc_iterations;
+    r.chunks_written = stats_.chunks_created;
+    r.long_row_chunks = stats_.long_row_chunks;
+    block_times_.fold_into(r);
+    return r;
   }
 
   const Csr<T>& a_;
@@ -591,6 +574,10 @@ class Pipeline {
   SpgemmStats& stats_;
   SpgemmPlan& plan_;
   trace::TraceSession* trace_;
+  /// Host time of the ESC and merge blocks; their timers get null when
+  /// the run is untraced, so they take no clock reads.
+  trace::BlockTimes block_times_;
+  trace::BlockTimes* timed_blocks_;
   sim::BlockScheduler own_scheduler_;
   sim::BlockScheduler& scheduler_;
   std::size_t initial_pool_;
@@ -602,6 +589,10 @@ class Pipeline {
   std::vector<Chunk<T>> chunks_;
   std::vector<std::vector<RowSegment>> segments_;
   std::vector<offset_t> row_nnz_;
+  /// Counts the trace record adds to what SpgemmStats keeps: ESC block
+  /// executions and their iteration histogram, rows per merge case and
+  /// merge windows.
+  trace::CountersSnapshot tallies_;
 };
 
 }  // namespace
@@ -612,9 +603,6 @@ std::size_t estimate_chunk_pool_bytes(const Csr<T>& a, const Csr<T>& b,
   if (cfg.pool_override_bytes > 0) return cfg.pool_override_bytes;
   if (cfg.pool_sizing == PoolSizing::kSampled) {
     estimate::PoolSizingParams p;
-    p.quantile = cfg.pool_estimate_quantile;
-    p.sample_stride = cfg.pool_sample_stride;
-    p.min_samples = cfg.pool_min_samples;
     p.chunk_entry_capacity = static_cast<std::size_t>(
         std::max(1, cfg.temp_capacity() - cfg.retain_capacity()));
     p.entry_bytes = kChunkEntryBytes<T>;

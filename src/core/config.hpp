@@ -61,16 +61,9 @@ struct Config {
   /// estimator of src/estimate.
   PoolSizing pool_sizing = PoolSizing::kClosedForm;
   /// Chunk-pool estimate multiplier (paper: 1.2 for metadata/divergence).
-  /// Closed-form sizing only; the sampled estimator's margin is
-  /// `pool_estimate_quantile`.
+  /// Closed-form sizing only; the sampled estimator's margin is its
+  /// B-row-length quantile (`estimate::PoolSizingParams`).
   double pool_estimate_factor = 1.2;
-  /// Sampled sizing: quantile of the sampled B-row-length distribution
-  /// charged per unsampled entry of A (the estimator's safety margin).
-  double pool_estimate_quantile = 0.9;
-  /// Sampled sizing: inspect every N-th non-zero of A (clamped so at least
-  /// `pool_min_samples` entries are inspected when A has that many).
-  std::size_t pool_sample_stride = 8;
-  std::size_t pool_min_samples = 512;
   /// Lower bound on the initial chunk pool (paper: 100 MB).
   std::size_t pool_lower_bound_bytes = std::size_t{100} << 20;
   /// Exact pool size override; 0 = use the estimate. Used by the restart
@@ -101,10 +94,11 @@ struct Config {
   /// full pass; off by default like the GPU original).
   bool validate_inputs = false;
   /// Observability sink (non-owning; must outlive the multiplication). When
-  /// set, the pipeline records stage spans and counters into the session;
-  /// null (default) disables tracing — the hooks then cost one pointer test
-  /// and results/stats are byte-for-byte unaffected (test_trace.cpp proves
-  /// it). The session may be shared by concurrent multiplications.
+  /// set, the pipeline records stage spans into the session as it runs and
+  /// adds the run's counters once it finishes; null (default) disables
+  /// tracing — the hooks then cost one pointer test and results/stats are
+  /// byte-for-byte unaffected (test_trace.cpp proves it). The session may be
+  /// shared by concurrent multiplications.
   trace::TraceSession* trace = nullptr;
   /// Simulated device.
   sim::DeviceConfig device{};

@@ -169,9 +169,6 @@ EscBlockResult<T> run_esc_block(const Csr<T>& a, const Csr<T>& b,
       return res;
     }
     charge_chunk_write(m, chunk.byte_size(), 1);
-    ACS_TRACE_COUNT(cfg.trace, pool_alloc_bytes, chunk.byte_size());
-    ACS_TRACE_COUNT(cfg.trace, chunks_written, 1);
-    ACS_TRACE_COUNT(cfg.trace, long_row_chunks, 1);
     res.chunks.push_back(std::move(chunk));
     ++state.chunk_counter;
     state.long_rows_done = j + 1;
@@ -341,8 +338,6 @@ EscBlockResult<T> run_esc_block(const Csr<T>& a, const Csr<T>& b,
       charge_chunk_write(m, chunk.byte_size(), write_rows);
       // Staging round trip through scratchpad for coalesced writes.
       m.scratch_ops += 2 * chunk.cols.size();
-      ACS_TRACE_COUNT(cfg.trace, pool_alloc_bytes, chunk.byte_size());
-      ACS_TRACE_COUNT(cfg.trace, chunks_written, 1);
       res.chunks.push_back(std::move(chunk));
       ++state.chunk_counter;
     }

@@ -249,9 +249,6 @@ MergeOutcome<T> run_merge_block(const MergeBatch& batch,
       return out;
     }
     charge_chunk_write(m, chunk.byte_size(), chunk.rows.size());
-    ACS_TRACE_COUNT(cfg.trace, pool_alloc_bytes, chunk.byte_size());
-    ACS_TRACE_COUNT(cfg.trace, chunks_written, 1);
-    ACS_TRACE_COUNT(cfg.trace, merge_windows, 1);
     m.scratch_ops += 2 * chunk.cols.size();
     out.chunks.push_back(std::move(chunk));
     out.windows_done = w + 1;

@@ -1,14 +1,13 @@
 #include "sim/scheduler.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <thread>
 #include <vector>
 
 #include "core/thread_annotations.hpp"
-#include "trace/trace.hpp"
 
 namespace acs::sim {
 
@@ -86,52 +85,22 @@ BlockScheduler::BlockScheduler(unsigned threads) : threads_(threads) {
 
 BlockScheduler::~BlockScheduler() = default;
 
-/// Execute one block, feeding its host time into the trace session's block
-/// attribution counters when tracing is live.
-void BlockScheduler::run_block(const std::function<void(std::size_t)>& body,
-                               std::size_t block) const {
-  if (!trace_) {
-    body(block);
-    return;
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  body(block);
-  const auto ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  trace::Counters& c = trace_->counters();
-  // mo: trace counters; consumers snapshot them after the run joins.
-  c.blocks_executed.fetch_add(1, std::memory_order_relaxed);
-  // mo: same as above.
-  c.block_time_ns_sum.fetch_add(ns, std::memory_order_relaxed);
-  trace::Counters::raise(c.block_time_ns_max, ns);
-}
-
 void BlockScheduler::for_each_block(
     std::size_t num_blocks, const std::function<void(std::size_t)>& body) const {
   if (num_blocks == 0) return;
   if (threads_ <= 1 || num_blocks == 1) {
-    for (std::size_t b = 0; b < num_blocks; ++b) run_block(body, b);
+    for (std::size_t b = 0; b < num_blocks; ++b) body(b);
     return;
   }
 
   if (!pool_) pool_ = std::make_unique<Pool>(threads_);
   Pool& p = *pool_;
 
-  // Route the pool through the same attribution wrapper. The extra
-  // std::function hop exists only while tracing (body is forwarded
-  // untouched otherwise).
-  const std::function<void(std::size_t)> timed =
-      trace_ ? std::function<void(std::size_t)>(
-                   [&](std::size_t b) { run_block(body, b); })
-             : std::function<void(std::size_t)>();
-
   std::exception_ptr err;
   {
     acs::MutexLock lock(p.pool_m);
     p.num_blocks = num_blocks;
-    p.body = trace_ ? &timed : &body;
+    p.body = &body;
     // mo: reset is published to workers by the generation bump + cv under
     // mo: the mutex held here; the counter itself needs no ordering.
     p.next.store(0, std::memory_order_relaxed);

@@ -16,10 +16,6 @@
 #include <functional>
 #include <memory>
 
-namespace acs::trace {
-class TraceSession;
-}
-
 namespace acs::sim {
 
 class BlockScheduler {
@@ -37,25 +33,12 @@ class BlockScheduler {
   void for_each_block(std::size_t num_blocks,
                       const std::function<void(std::size_t)>& body) const;
 
-  /// Block attribution: while `session` is set, every dispatched block's
-  /// host execution time feeds the session's `blocks_executed` /
-  /// `block_time_ns_{sum,max}` counters — the per-block imbalance view the
-  /// stage spans cannot provide. Null disables (the default; dispatch then
-  /// takes no clock reads). Not thread-safe against a concurrent dispatch;
-  /// set it between multiplications, as `acs::multiply_planned` does.
-  void set_trace(trace::TraceSession* session) { trace_ = session; }
-  [[nodiscard]] trace::TraceSession* trace() const { return trace_; }
-
   [[nodiscard]] unsigned threads() const { return threads_; }
 
  private:
   struct Pool;
 
-  void run_block(const std::function<void(std::size_t)>& body,
-                 std::size_t block) const;
-
   unsigned threads_;
-  trace::TraceSession* trace_ = nullptr;
   /// Lazily created worker pool; never allocated for single-threaded
   /// schedulers, so the default configuration costs nothing.
   mutable std::unique_ptr<Pool> pool_;

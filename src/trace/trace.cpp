@@ -26,6 +26,31 @@ CountersSnapshot& CountersSnapshot::operator+=(const CountersSnapshot& o) {
   return *this;
 }
 
+void Counters::add(const CountersSnapshot& run) {
+  const auto sum = [](std::atomic<std::uint64_t>& a, std::uint64_t v) {
+    // mo: trace counters; readers snapshot them after the runs join.
+    a.fetch_add(v, std::memory_order_relaxed);
+  };
+  sum(pool_alloc_bytes, run.pool_alloc_bytes);
+  sum(pool_denials, run.pool_denials);
+  raise(pool_capacity_bytes, run.pool_capacity_bytes);
+  raise(pool_used_bytes, run.pool_used_bytes);
+  raise(pool_estimate_bytes, run.pool_estimate_bytes);
+  sum(restarts, run.restarts);
+  sum(esc_blocks, run.esc_blocks);
+  sum(esc_iterations, run.esc_iterations);
+  for (std::size_t i = 0; i < kEscHistBuckets; ++i)
+    sum(esc_iteration_hist[i], run.esc_iteration_hist[i]);
+  sum(chunks_written, run.chunks_written);
+  sum(long_row_chunks, run.long_row_chunks);
+  for (std::size_t i = 0; i < merge_case_rows.size(); ++i)
+    sum(merge_case_rows[i], run.merge_case_rows[i]);
+  sum(merge_windows, run.merge_windows);
+  sum(blocks_executed, run.blocks_executed);
+  sum(block_time_ns_sum, run.block_time_ns_sum);
+  raise(block_time_ns_max, run.block_time_ns_max);
+}
+
 CountersSnapshot Counters::snapshot() const {
   CountersSnapshot s;
   const auto get = [](const std::atomic<std::uint64_t>& a) {
@@ -51,6 +76,28 @@ CountersSnapshot Counters::snapshot() const {
   s.block_time_ns_sum = get(block_time_ns_sum);
   s.block_time_ns_max = get(block_time_ns_max);
   return s;
+}
+
+void BlockTimes::fold_into(CountersSnapshot& record) const {
+  // mo: read after the run's dispatches joined, which publish the adds.
+  record.blocks_executed = blocks.load(std::memory_order_relaxed);
+  // mo: same as above.
+  record.block_time_ns_sum = ns_sum.load(std::memory_order_relaxed);
+  // mo: same as above.
+  record.block_time_ns_max = ns_max.load(std::memory_order_relaxed);
+}
+
+BlockTimer::~BlockTimer() {
+  if (!sink_) return;
+  const auto ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start_)
+          .count());
+  // mo: per-run totals, read once the dispatch joins.
+  sink_->blocks.fetch_add(1, std::memory_order_relaxed);
+  // mo: same as above.
+  sink_->ns_sum.fetch_add(ns, std::memory_order_relaxed);
+  Counters::raise(sink_->ns_max, ns);
 }
 
 SpanId TraceSession::begin_span(std::string_view name) {

@@ -3,12 +3,12 @@
 /// Stage-level observability for the SpGEMM pipeline: a low-overhead,
 /// thread-safe tracing and metrics layer. A `TraceSession` records a span
 /// tree (one span per pipeline stage / kernel launch, wall-clock start/end
-/// plus attributed simulated time) and a set of atomic `Counters` (chunk
-/// pool traffic, restarts, ESC iteration histogram, rows per merge case,
-/// scheduler block attribution). Producers hook in through the `ACS_TRACE_*`
-/// macros, which compile to a single null-pointer check when tracing is
-/// disabled at runtime and to nothing at all when `ACS_TRACE_DISABLED` is
-/// defined — the overhead policy DESIGN.md §7 commits to.
+/// plus attributed simulated time) and a set of `Counters` (chunk pool
+/// traffic, restarts, ESC iteration histogram, rows per merge case, block
+/// host-time attribution). Spans open through the `ACS_TRACE_*` macros,
+/// which cost a single null-pointer check when tracing is disabled — the
+/// overhead policy DESIGN.md §7 commits to. Counters have one writer: the
+/// pipeline adds one `CountersSnapshot` per finished run.
 ///
 /// Sessions are safe to share between threads: spans keep per-thread parent
 /// stacks (a worker's spans nest under that worker's open spans, never under
@@ -68,7 +68,7 @@ struct CountersSnapshot {
   // Merge.
   std::array<std::uint64_t, 3> merge_case_rows{};  ///< rows per Multi/Path/Search
   std::uint64_t merge_windows = 0;                 ///< merge windows written
-  // Scheduler block attribution.
+  // Block host-time attribution (ESC and merge blocks).
   std::uint64_t blocks_executed = 0;
   std::uint64_t block_time_ns_sum = 0;
   std::uint64_t block_time_ns_max = 0;
@@ -76,10 +76,16 @@ struct CountersSnapshot {
   CountersSnapshot& operator+=(const CountersSnapshot& o);
 };
 
-/// Live counter set: relaxed atomics, safe to bump from any thread. Gauges
-/// (`*_capacity_bytes`, `*_used_bytes`, `pool_estimate_bytes`,
-/// `block_time_ns_max`) keep the maximum observed value; everything else
-/// accumulates.
+/// Histogram bucket of an ESC block that ran `iterations` local iterations.
+[[nodiscard]] constexpr std::size_t esc_hist_bucket(std::uint64_t iterations) {
+  return iterations < kEscHistBuckets ? static_cast<std::size_t>(iterations)
+                                      : kEscHistBuckets - 1;
+}
+
+/// Live counter set: relaxed atomics, so runs sharing a session may add to
+/// it concurrently. Gauges (`*_capacity_bytes`, `*_used_bytes`,
+/// `pool_estimate_bytes`, `block_time_ns_max`) keep the maximum observed
+/// value; everything else accumulates.
 struct Counters {
   std::atomic<std::uint64_t> pool_alloc_bytes{0};
   std::atomic<std::uint64_t> pool_denials{0};
@@ -98,19 +104,8 @@ struct Counters {
   std::atomic<std::uint64_t> block_time_ns_sum{0};
   std::atomic<std::uint64_t> block_time_ns_max{0};
 
-  /// Record one ESC block execution of `iterations` local iterations.
-  void record_esc_block(std::uint64_t iterations) {
-    // mo: monotonic trace counters; snapshot() reads them post-join.
-    esc_blocks.fetch_add(1, std::memory_order_relaxed);
-    // mo: same as above.
-    esc_iterations.fetch_add(iterations, std::memory_order_relaxed);
-    const std::size_t bucket =
-        iterations == 0 ? 0
-                        : (iterations < kEscHistBuckets ? iterations
-                                                        : kEscHistBuckets - 1);
-    // mo: same as above.
-    esc_iteration_hist[bucket].fetch_add(1, std::memory_order_relaxed);
-  }
+  /// Add one run's record: sums add, gauges raise.
+  void add(const CountersSnapshot& run);
 
   /// Raise a maximum gauge to at least `value`.
   static void raise(std::atomic<std::uint64_t>& gauge, std::uint64_t value) {
@@ -125,6 +120,34 @@ struct Counters {
   }
 
   [[nodiscard]] CountersSnapshot snapshot() const;
+};
+
+/// Host time of one run's blocks, summed across the threads that run them.
+/// The pipeline folds it into the run's record (`blocks_executed`,
+/// `block_time_ns_sum/max`).
+struct BlockTimes {
+  std::atomic<std::uint64_t> blocks{0};
+  std::atomic<std::uint64_t> ns_sum{0};
+  std::atomic<std::uint64_t> ns_max{0};
+
+  void fold_into(CountersSnapshot& record) const;
+};
+
+/// RAII timer around one block body: adds the body's host time to `sink`
+/// when it closes. A null sink takes no clock reads.
+class BlockTimer {
+ public:
+  explicit BlockTimer(BlockTimes* sink) : sink_(sink) {
+    if (sink_) start_ = std::chrono::steady_clock::now();
+  }
+  ~BlockTimer();
+
+  BlockTimer(const BlockTimer&) = delete;
+  BlockTimer& operator=(const BlockTimer&) = delete;
+
+ private:
+  BlockTimes* sink_;
+  std::chrono::steady_clock::time_point start_{};
 };
 
 /// One recorded span. Wall times are seconds relative to the session epoch;
@@ -225,15 +248,12 @@ class ScopedSpan {
 
 }  // namespace acs::trace
 
-// --- Producer hook macros ---------------------------------------------------
-// `session` is always a (possibly null) `acs::trace::TraceSession*`; every
-// macro is a no-op on null. Define ACS_TRACE_DISABLED to compile the hooks
-// out entirely (the spans/counters then cost literally nothing).
+// --- Span macros ------------------------------------------------------------
+// `session` is always a (possibly null) `acs::trace::TraceSession*`; both
+// macros are no-ops on null.
 
 #define ACS_TRACE_CONCAT_INNER(a, b) a##b
 #define ACS_TRACE_CONCAT(a, b) ACS_TRACE_CONCAT_INNER(a, b)
-
-#ifndef ACS_TRACE_DISABLED
 
 /// Named RAII span usable as a local variable (attach sim time to it).
 #define ACS_TRACE_SPAN(var, session, name) \
@@ -242,49 +262,3 @@ class ScopedSpan {
 /// Anonymous scope span.
 #define ACS_TRACE_SCOPE(session, name) \
   ACS_TRACE_SPAN(ACS_TRACE_CONCAT(acs_trace_scope_, __LINE__), session, name)
-
-/// counters().field += delta.
-#define ACS_TRACE_COUNT(session, field, delta)                                \
-  do {                                                                        \
-    if (::acs::trace::TraceSession* acs_trace_s_ = (session))                 \
-      acs_trace_s_->counters().field.fetch_add(                               \
-          static_cast<std::uint64_t>(delta),                                  \
-          std::memory_order_relaxed); /* mo: trace counter, post-join read */ \
-  } while (0)
-
-/// counters().field = max(counters().field, value) — for gauges.
-#define ACS_TRACE_GAUGE_MAX(session, field, value)                          \
-  do {                                                                      \
-    if (::acs::trace::TraceSession* acs_trace_s_ = (session))               \
-      ::acs::trace::Counters::raise(acs_trace_s_->counters().field,         \
-                                    static_cast<std::uint64_t>(value));     \
-  } while (0)
-
-/// Arbitrary statement executed only when tracing is live.
-#define ACS_TRACE_HOOK(session, stmt)                                 \
-  do {                                                                \
-    if (::acs::trace::TraceSession* acs_trace_s_ = (session)) {       \
-      ::acs::trace::TraceSession& acs_trace = *acs_trace_s_;          \
-      stmt;                                                           \
-    }                                                                 \
-  } while (0)
-
-#else  // ACS_TRACE_DISABLED
-
-namespace acs::trace {
-/// Stand-in for ScopedSpan when tracing is compiled out.
-struct NullSpan {
-  void add_sim_time(double) {}
-};
-}  // namespace acs::trace
-
-#define ACS_TRACE_SPAN(var, session, name) \
-  ::acs::trace::NullSpan var;              \
-  (void)var;                               \
-  (void)(session)
-#define ACS_TRACE_SCOPE(session, name) (void)(session)
-#define ACS_TRACE_COUNT(session, field, delta) (void)(session)
-#define ACS_TRACE_GAUGE_MAX(session, field, value) (void)(session)
-#define ACS_TRACE_HOOK(session, stmt) (void)(session)
-
-#endif  // ACS_TRACE_DISABLED

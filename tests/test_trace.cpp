@@ -1,7 +1,7 @@
 /// Tests of the stage-level observability layer (src/trace/): span tree
 /// nesting and ordering, cross-thread counter aggregation, exporter golden
-/// output, metrics snapshots, and the zero-side-effects guarantee of
-/// disabled tracing on the core pipeline.
+/// output, metrics snapshots, the pipeline's one trace record per run, and
+/// the zero-side-effects guarantee of disabled tracing on the core pipeline.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "core/acspgemm.hpp"
+#include "fault/policies.hpp"
 #include "matrix/generators.hpp"
+#include "runtime/engine.hpp"
 #include "trace/exporters.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
@@ -76,9 +78,10 @@ TEST(TraceSession, ThreadsKeepIndependentParentStacks) {
     workers.emplace_back([&s] {
       ScopedSpan outer(&s, "worker");
       for (int i = 0; i < kBumps; ++i) {
-        ACS_TRACE_COUNT(&s, esc_iterations, 1);
-        Counters::raise(s.counters().pool_used_bytes,
-                        static_cast<std::uint64_t>(i));
+        CountersSnapshot run;
+        run.esc_iterations = 1;
+        run.pool_used_bytes = static_cast<std::uint64_t>(i);
+        s.counters().add(run);
       }
       ScopedSpan inner(&s, "inner");
     });
@@ -106,12 +109,15 @@ TEST(TraceSession, ThreadsKeepIndependentParentStacks) {
 }
 
 TEST(Counters, EscHistogramBucketsAndSnapshotSum) {
+  CountersSnapshot run;
+  // 50 is beyond the last bucket, so it is clamped into it.
+  for (const std::uint64_t iterations : {1u, 2u, 2u, 7u, 50u}) {
+    ++run.esc_blocks;
+    run.esc_iterations += iterations;
+    ++run.esc_iteration_hist[esc_hist_bucket(iterations)];
+  }
   Counters c;
-  c.record_esc_block(1);
-  c.record_esc_block(2);
-  c.record_esc_block(2);
-  c.record_esc_block(7);
-  c.record_esc_block(50);  // beyond the last bucket -> clamped into it
+  c.add(run);
   const CountersSnapshot s = c.snapshot();
   EXPECT_EQ(s.esc_blocks, 5u);
   EXPECT_EQ(s.esc_iterations, 62u);
@@ -137,8 +143,12 @@ TraceSession& golden_session() {
     const SpanId esc = t->begin_span("ESC");
     t->end_span(esc, 0.5);
     t->end_span(root);
-    t->counters().restarts.fetch_add(2);
-    t->counters().record_esc_block(3);
+    CountersSnapshot run;
+    run.restarts = 2;
+    run.esc_blocks = 1;
+    run.esc_iterations = 3;
+    run.esc_iteration_hist[esc_hist_bucket(3)] = 1;
+    t->counters().add(run);
     return t;
   }();
   return *s;
@@ -245,34 +255,117 @@ TEST(Metrics, StageIndexMatchesCanonicalOrder) {
 // --- Pipeline integration -------------------------------------------------
 
 TEST(PipelineTracing, RecordsStageSpansMatchingStats) {
-  const auto a = gen_uniform_random<double>(400, 400, 7.0, 2.0, 91);
+  // Each input meets each Config at 1 and 4 scheduler threads. The Configs
+  // reach the paths whose counts are otherwise zero: Config 1 restarts, 2
+  // runs Path and Search Merge, 3 writes pointer chunks, 4 injects denials.
+  const std::vector<Csr<double>> inputs = {
+      gen_uniform_random<double>(400, 400, 7.0, 2.0, 91),
+      gen_powerlaw<double>(300, 300, 5.0, 1.6, 120, 303)};
+  fault::SeededProbabilisticPolicy denials(95, 0.25);
+  std::vector<Config> configs(5);
+  configs[1].pool_override_bytes = 16 << 10;
+  configs[2].nnz_per_block = 32;
+  configs[2].path_merge_max_chunks = 2;
+  configs[3].long_row_threshold = 7;
+  configs[4].alloc_policy = &denials;
+
+  int restarts = 0, path = 0, search = 0, pointer_chunks = 0, injected = 0;
+  for (std::size_t in = 0; in < inputs.size(); ++in) {
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+      for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE("input " + std::to_string(in) + ", config " +
+                     std::to_string(k) + ", " + std::to_string(threads) +
+                     " threads");
+        TraceSession session;
+        Config cfg = configs[k];
+        cfg.trace = &session;
+        cfg.scheduler_threads = threads;
+        SpgemmStats stats;
+        multiply(inputs[in], inputs[in], cfg, &stats);
+
+        const auto totals = sim_stage_totals(session.spans());
+        double span_sim = 0.0;
+        for (std::size_t i = 0; i < kNumStages; ++i) {
+          span_sim += totals[i];
+          EXPECT_NEAR(totals[i], stats.stage_time(kStageNames[i]), 1e-12)
+              << kStageNames[i];
+        }
+        EXPECT_NEAR(span_sim, stats.sim_time_s, 1e-12);
+
+        const CountersSnapshot c = session.counters_snapshot();
+        EXPECT_EQ(c.esc_iterations, stats.esc_iterations);
+        EXPECT_EQ(c.chunks_written, stats.chunks_created);
+        EXPECT_EQ(c.long_row_chunks, stats.long_row_chunks);
+        EXPECT_EQ(c.restarts, static_cast<std::uint64_t>(stats.restarts));
+        EXPECT_EQ(c.pool_denials, stats.pool_denials);
+        EXPECT_EQ(c.pool_capacity_bytes, stats.pool_bytes);
+        EXPECT_EQ(c.pool_used_bytes, stats.pool_used_bytes);
+        EXPECT_EQ(c.pool_estimate_bytes, stats.pool_estimate_bytes);
+        EXPECT_EQ(c.pool_alloc_bytes, c.pool_used_bytes);
+        EXPECT_GT(c.pool_estimate_bytes, 0u);  // cold runs record it
+        std::uint64_t case_rows = 0;
+        for (const std::uint64_t rows : c.merge_case_rows) case_rows += rows;
+        EXPECT_EQ(case_rows, stats.merged_rows);
+        std::uint64_t hist_blocks = 0;
+        for (const std::uint64_t blocks : c.esc_iteration_hist)
+          hist_blocks += blocks;
+        EXPECT_EQ(hist_blocks, c.esc_blocks);
+        EXPECT_GE(c.blocks_executed, c.esc_blocks);  // block attribution
+        EXPECT_GE(c.block_time_ns_max, 1u);
+        EXPECT_GE(c.block_time_ns_sum, c.block_time_ns_max);
+
+        restarts += c.restarts > 0;
+        path += c.merge_case_rows[kPathMerge] > 0;
+        search += c.merge_case_rows[kSearchMerge] > 0;
+        pointer_chunks += c.long_row_chunks > 0;
+        injected += cfg.alloc_policy != nullptr && c.pool_denials > 0;
+      }
+    }
+  }
+  EXPECT_GT(restarts, 0);
+  EXPECT_GT(path, 0);
+  EXPECT_GT(search, 0);
+  EXPECT_GT(pointer_chunks, 0);
+  EXPECT_GT(injected, 0);
+}
+
+TEST(PipelineTracing, EngineJobsSharingASessionAddUp) {
+  // Two jobs on a 2-worker NativeCpu engine add their records to one
+  // session, possibly at once: its sums are the sums of the jobs' stats and
+  // its gauges the larger of the two.
+  runtime::EngineConfig ec;
+  ec.arch = arch::ArchId::kNativeCpu;
+  ec.workers = 2;
+  ec.native_threads = 2;
+  runtime::Engine<double> engine(ec);
+  fault::SeededProbabilisticPolicy denials(96, 0.25);
   TraceSession session;
   Config cfg;
   cfg.trace = &session;
-  SpgemmStats stats;
-  multiply(a, a, cfg, &stats);
-
-  const auto totals = sim_stage_totals(session.spans());
-  double span_sim = 0.0;
-  for (std::size_t i = 0; i < kNumStages; ++i) {
-    span_sim += totals[i];
-    EXPECT_NEAR(totals[i], stats.stage_time(kStageNames[i]), 1e-12)
-        << kStageNames[i];
-  }
-  EXPECT_NEAR(span_sim, stats.sim_time_s, 1e-12);
+  cfg.alloc_policy = &denials;
+  const auto a = gen_uniform_random<double>(400, 400, 7.0, 2.0, 97);
+  const auto b = gen_powerlaw<double>(300, 300, 5.0, 1.6, 120, 98);
+  auto h1 = engine.submit(a, a, cfg);
+  auto h2 = engine.submit(b, b, cfg);
+  const SpgemmStats& s1 = h1.result().stats;
+  const SpgemmStats& s2 = h2.result().stats;
 
   const CountersSnapshot c = session.counters_snapshot();
-  EXPECT_EQ(c.esc_iterations, stats.esc_iterations);
-  EXPECT_EQ(c.chunks_written, stats.chunks_created);
-  EXPECT_EQ(c.long_row_chunks, stats.long_row_chunks);
-  EXPECT_EQ(c.restarts, static_cast<std::uint64_t>(stats.restarts));
-  EXPECT_EQ(c.pool_capacity_bytes, stats.pool_bytes);
-  EXPECT_EQ(c.pool_used_bytes, stats.pool_used_bytes);
-  EXPECT_EQ(c.pool_estimate_bytes, stats.pool_estimate_bytes);
-  EXPECT_GT(c.pool_estimate_bytes, 0u);  // cold runs record their estimate
-  EXPECT_GT(c.blocks_executed, 0u);  // scheduler block attribution
-  EXPECT_GE(c.block_time_ns_max, 1u);
-  EXPECT_GE(c.block_time_ns_sum, c.block_time_ns_max);
+  EXPECT_GT(c.restarts, 0u);
+  EXPECT_EQ(c.restarts, static_cast<std::uint64_t>(s1.restarts + s2.restarts));
+  EXPECT_EQ(c.pool_denials, s1.pool_denials + s2.pool_denials);
+  EXPECT_EQ(c.esc_iterations, s1.esc_iterations + s2.esc_iterations);
+  EXPECT_EQ(c.chunks_written, s1.chunks_created + s2.chunks_created);
+  EXPECT_EQ(c.long_row_chunks, s1.long_row_chunks + s2.long_row_chunks);
+  EXPECT_EQ(c.pool_alloc_bytes, s1.pool_used_bytes + s2.pool_used_bytes);
+  EXPECT_EQ(c.pool_capacity_bytes, std::max(s1.pool_bytes, s2.pool_bytes));
+  EXPECT_EQ(c.pool_used_bytes,
+            std::max(s1.pool_used_bytes, s2.pool_used_bytes));
+  EXPECT_EQ(c.pool_estimate_bytes,
+            std::max(s1.pool_estimate_bytes, s2.pool_estimate_bytes));
+  std::uint64_t case_rows = 0;
+  for (const std::uint64_t rows : c.merge_case_rows) case_rows += rows;
+  EXPECT_EQ(case_rows, s1.merged_rows + s2.merged_rows);
 }
 
 TEST(PipelineTracing, DetailModeAddsBlockLevelSpans) {
