@@ -1,20 +1,21 @@
 #pragma once
 /// \file arch_id.hpp
 /// Runtime identifiers of the compiled-in backends. This header is the
-/// bottom of the arch layer: plain enums with no dependencies, so that
-/// core/config.hpp can carry an execution-kind field and the runtime can
-/// key plan caches by architecture without pulling in the tag types
-/// (arch.hpp) or the simulated device description.
+/// bottom of the arch layer: plain enums with no dependencies, so headers
+/// that only name a backend (structure fingerprints, tuner grids,
+/// `EngineConfig`) need not see the backend table (arch.hpp) or the
+/// simulated device description.
 ///
 /// The numeric values are part of structure fingerprints
-/// (runtime/fingerprint.hpp) — never renumber an existing entry, only
-/// append.
+/// (runtime/fingerprint.hpp) and index the backend table — never renumber
+/// an existing entry, only append.
 
 #include <cstdint>
 
 namespace acs::arch {
 
-/// One compiled-in backend. Each id maps 1:1 to a tag type in arch.hpp.
+/// One compiled-in backend. Each id has one row in arch.hpp's table, at
+/// index == value.
 enum class ArchId : std::uint32_t {
   /// The paper's evaluation device, simulated (Titan Xp: 30 SMs, 48 KiB
   /// scratchpad per block). Bit-compatible with the pre-arch pipeline and
@@ -26,12 +27,12 @@ enum class ArchId : std::uint32_t {
   kSimBigDevice = 1,
   /// Native CPU execution: the same block kernels run on the host thread
   /// pool for wall-clock throughput, with the simulated cost model
-  /// switched off. Block geometry mirrors SimTitanXp, so outputs are
+  /// switched off. Its device is SimTitanXp's, so outputs are
   /// bit-identical to the simulated backend.
   kNativeCpu = 2,
 };
 
-/// How a backend executes blocks (selected per job via `Config::exec`).
+/// How a backend executes blocks (a column of the backend table).
 enum class ExecKind : std::uint32_t {
   /// Price every kernel's block counters with the simulated device cost
   /// model (sim::schedule_blocks); stats report simulated kernel times.
@@ -40,15 +41,5 @@ enum class ExecKind : std::uint32_t {
   /// blocks run the same kernels and charge the same counters.
   kNative = 1,
 };
-
-/// Stable lowercase name of an arch ("sim-titan-xp", "sim-big-device",
-/// "native-cpu"); "?" for values outside the enum.
-[[nodiscard]] const char* to_string(ArchId id);
-
-[[nodiscard]] const char* to_string(ExecKind kind);
-
-/// Parse a name produced by `to_string(ArchId)` back into an id. Returns
-/// false (leaving `out` untouched) for unknown names.
-[[nodiscard]] bool parse_arch(const char* name, ArchId& out);
 
 }  // namespace acs::arch

@@ -13,7 +13,8 @@
 #include <unistd.h>
 #endif
 
-#include "arch/arch_id.hpp"
+#include "arch/arch.hpp"
+#include "arch/invariants.hpp"  // compile-time proofs ride every build
 #include "core/esc_block.hpp"
 #include "core/invariants.hpp"  // compile-time proofs ride every build
 #include "core/merge.hpp"
@@ -132,7 +133,8 @@ class Pipeline {
     if (!fits_device(cfg, sizeof(T)))
       throw std::length_error(
           "acspgemm: ESC working set exceeds the " +
-          std::to_string(cfg.device.scratchpad_bytes) + "-byte scratchpad");
+          std::to_string(arch::arch_info(cfg.arch).device.scratchpad_bytes) +
+          "-byte scratchpad");
   }
 
   /// Record one simulated kernel: schedule its blocks, account the stage
@@ -141,7 +143,8 @@ class Pipeline {
   /// can attribute it to their trace span.
   double record_stage(const char* name,
                       const std::vector<sim::MetricCounters>& blocks) {
-    if (cfg_.exec == arch::ExecKind::kNative) {
+    const arch::ArchInfo& backend = arch::arch_info(cfg_.arch);
+    if (backend.exec == arch::ExecKind::kNative) {
       // Native backend: the wall clock is what counts, so skip the cost
       // model (pure overhead there) and keep the stage entry at zero sim
       // time. Every kernel charges the same counters on both backends, so
@@ -150,7 +153,7 @@ class Pipeline {
       for (const auto& bm : blocks) stats_.metrics += bm;
       return 0.0;
     }
-    const sim::KernelTiming t = sim::schedule_blocks(blocks, cfg_.device);
+    const sim::KernelTiming t = sim::schedule_blocks(blocks, backend.device);
     stats_.stage_times_s.emplace_back(name, t.time_s);
     stats_.sim_time_s += t.time_s;
     for (const auto& bm : blocks) stats_.metrics += bm;
@@ -158,7 +161,7 @@ class Pipeline {
     // mpL): kernels with fewer blocks than resident slots trivially leave
     // SMs idle and say nothing about load balancing quality.
     const auto resident = static_cast<std::size_t>(
-        2 * cfg_.device.num_sms * cfg_.device.blocks_per_sm);
+        2 * backend.device.num_sms * backend.device.blocks_per_sm);
     if (blocks.size() >= resident)
       stats_.multiprocessor_load =
           std::min(stats_.multiprocessor_load, t.multiprocessor_load);

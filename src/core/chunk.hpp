@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "matrix/types.hpp"
+#include "sim/metrics.hpp"
 
 namespace acs {
 
@@ -38,6 +39,16 @@ inline constexpr std::size_t kPointerChunkBytes = 48;
 template <class T>
 inline constexpr std::size_t kChunkEntryBytes =
     2 * sizeof(index_t) + sizeof(T);
+
+/// Global traffic of committing one chunk, charged by the ESC and merge
+/// kernels alike: its `bytes` written coalesced, plus the atomics of the
+/// pool allocation, one nnz-counter update per covered row, and the two
+/// list-head insertions (first and last row).
+inline void charge_chunk_write(sim::MetricCounters& m, std::size_t bytes,
+                               std::size_t rows_in_chunk) {
+  m.global_bytes_coalesced += bytes;
+  m.atomic_ops += 1 + rows_in_chunk + 2;
+}
 
 /// Deterministic global chunk order: block id + per-block running chunk
 /// number, the paper's replacement for the scheduler-dependent linked-list

@@ -8,9 +8,8 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "arch/arch_id.hpp"
+#include "arch/arch.hpp"
 #include "matrix/types.hpp"
-#include "sim/device_config.hpp"
 
 namespace acs::trace {
 class TraceSession;
@@ -100,17 +99,15 @@ struct Config {
   /// byte-for-byte unaffected (test_trace.cpp proves it). The session may be
   /// shared by concurrent multiplications.
   trace::TraceSession* trace = nullptr;
-  /// Simulated device.
-  sim::DeviceConfig device{};
-  /// Whether the modeled clock runs (arch backend selection, normally set
-  /// by the runtime engine from `EngineConfig::arch`). Both kinds run the
-  /// same block kernels and charge the same `SpgemmStats::metrics`.
-  /// `kSimulated` (default) prices each kernel's block counters with the
-  /// cost model of `device`; `kNative` skips the pricing, so `sim_time_s`
-  /// and every stage time read 0. Results are bit-identical either way —
-  /// the ESC/merge geometry still comes from `device`, so keep `device` at
-  /// the arch's values (docs/BACKENDS.md).
-  arch::ExecKind exec = arch::ExecKind::kSimulated;
+  /// Backend the multiply runs on: its row of the backend table
+  /// (`arch::arch_info`, docs/BACKENDS.md) gives the device whose
+  /// scratchpad and block geometry bound the ESC working set, and whether
+  /// that device's cost model prices the blocks' counters. Under a native
+  /// backend `sim_time_s` and every stage time read 0; outputs and
+  /// `SpgemmStats::metrics` are bit-identical to the simulated default's.
+  /// An engine on a non-default arch sets this on every job it runs
+  /// (`runtime::apply_arch`).
+  arch::ArchId arch = arch::ArchId::kSimTitanXp;
 
   /// Temporary products held per block per ESC iteration.
   [[nodiscard]] constexpr int temp_capacity() const {
@@ -130,12 +127,13 @@ struct Config {
 /// Pipeline::validate enforces: positive block geometry, retain <
 /// elements_per_thread, 15-bit compaction counters, and the ESC working
 /// set (keys + values + work-distribution offsets + scan states) fitting
-/// the scratchpad. `value_bytes` = sizeof of the value type. The one
-/// statement of the paper's claim that all temporary data fits in on-chip
-/// memory: the pipeline checks it on every multiply, the tuner prunes its
-/// grid with it, and, being constexpr, tune/invariants.hpp certifies the
-/// default grids against it at compile time — e.g. that double-width
-/// values with nnz_per_block=1024 exceed 48 KiB.
+/// the scratchpad of `cfg.arch`'s device. `value_bytes` = sizeof of the
+/// value type. The one statement of the paper's claim that all temporary
+/// data fits in on-chip memory: the pipeline checks it on every multiply,
+/// the tuner prunes its grid with it, and, being constexpr,
+/// tune/invariants.hpp certifies the default grids against it at compile
+/// time — e.g. that double-width values with nnz_per_block=1024 exceed
+/// 48 KiB.
 [[nodiscard]] constexpr bool fits_device(const Config& cfg,
                                          std::size_t value_bytes) {
   if (cfg.threads <= 0 || cfg.nnz_per_block <= 0 ||
@@ -157,7 +155,8 @@ struct Config {
   alloc(static_cast<std::size_t>(cfg.nnz_per_block) + 1, sizeof(offset_t),
         alignof(offset_t));                                   // WD offsets
   alloc(cap, sizeof(std::uint32_t), alignof(std::uint32_t));  // scan states
-  return used <= static_cast<std::size_t>(cfg.device.scratchpad_bytes);
+  return used <= static_cast<std::size_t>(
+                     arch::arch_info(cfg.arch).device.scratchpad_bytes);
 }
 
 }  // namespace acs

@@ -38,14 +38,6 @@ Chunk<T> build_chunk(const CompactionOutput<T>& out, std::size_t row_count,
   return chunk;
 }
 
-/// Atomic traffic of committing one chunk: pool allocation, per-row nnz
-/// counter updates, and the two list-head insertions (first and last row).
-inline void charge_chunk_write(sim::MetricCounters& m, std::size_t bytes,
-                               std::size_t rows_in_chunk) {
-  m.global_bytes_coalesced += bytes;
-  m.atomic_ops += 1 + rows_in_chunk + 2;
-}
-
 /// Per-thread buffers of the ESC block. One thread_local instance serves
 /// every block a thread runs, on either backend, so the steady state
 /// allocates nothing in the hot loop.

@@ -12,12 +12,6 @@
 namespace acs {
 namespace {
 
-inline void charge_chunk_write(sim::MetricCounters& m, std::size_t bytes,
-                               std::size_t rows_in_chunk) {
-  m.global_bytes_coalesced += bytes;
-  m.atomic_ops += 1 + rows_in_chunk + 2;
-}
-
 /// Gathered element of a merge buffer: local row (index into batch.rows),
 /// column and value, in global chunk order per row.
 template <class T>

@@ -10,9 +10,8 @@ namespace acs::runtime {
 
 void apply_arch(Config& cfg, const EngineConfig& ecfg) {
   if (ecfg.arch == arch::ArchId::kSimTitanXp) return;
-  const arch::ArchInfo info = arch::arch_info(ecfg.arch);
-  cfg.device = info.device;
-  cfg.exec = info.exec;
+  const arch::ArchInfo& info = arch::arch_info(ecfg.arch);
+  cfg.arch = info.id;
   if (info.exec == arch::ExecKind::kNative) {
     unsigned n = ecfg.native_threads ? ecfg.native_threads
                                      : info.default_scheduler_threads;
@@ -52,9 +51,10 @@ JobHandle<T> Engine<T>::submit(
     Csr<T> a, Csr<T> b, Config cfg,
     std::function<void(JobResult<T>&)> on_complete) {
   // The engine's backend is overlaid at submission, so everything
-  // downstream — pool estimates, load balancing — sees the device the job
-  // actually runs on. Under the default arch this is the identity and the
-  // submitted Config runs verbatim.
+  // downstream — the plan key, pool estimates, load balancing — sees the
+  // backend the job actually runs on. Under the default arch this is the
+  // identity and the submitted Config, its own `arch` included, runs
+  // verbatim.
   apply_arch(cfg, config_);
   auto state = std::make_shared<detail::JobState<T>>();
   state->a = std::move(a);
@@ -181,7 +181,7 @@ void Engine<T>::run_job(detail::JobState<T>& job, WorkerContext& ctx) {
     if (job.a.cols != job.b.rows)
       throw std::invalid_argument(
           "engine: dimension mismatch (A.cols != B.rows)");
-    const Fingerprint key = fingerprint(job.a, job.b, config_.arch);
+    const Fingerprint key = fingerprint(job.a, job.b, job.cfg.arch);
     SpgemmPlan plan;
     const bool hit = cache_.lookup(key, plan);
 

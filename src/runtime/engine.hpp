@@ -52,17 +52,17 @@ struct EngineConfig {
   unsigned workers = 1;
   /// Maximum plans kept by the LRU plan cache.
   std::size_t plan_cache_capacity = 64;
-  /// Backend every job executes on (src/arch, docs/BACKENDS.md). The
-  /// default `kSimTitanXp` leaves each submitted Config untouched — bit-
-  /// and cost-model-compatible with the pre-arch engine. Any other arch is
-  /// overlaid on the Config at submission (`apply_arch`): its device
-  /// constants and execution kind replace the Config's, and the plan cache
-  /// is keyed by the arch so plans never replay across backends.
+  /// Backend the engine runs its jobs on (src/arch, docs/BACKENDS.md).
+  /// The default `kSimTitanXp` leaves each submitted Config untouched, so
+  /// a job runs on the backend its own `Config::arch` names. Any other
+  /// arch replaces every job's `Config::arch` at submission
+  /// (`apply_arch`). Either way the plan cache is keyed by the arch the
+  /// job runs on, so plans never replay across backends.
   arch::ArchId arch = arch::ArchId::kSimTitanXp;
-  /// Host threads driving each job's blocks under `ArchId::kNativeCpu`
-  /// (applied as `Config::scheduler_threads`); 0 = one per hardware
-  /// thread. Ignored by simulated archs, whose submitted thread count
-  /// stands.
+  /// Host threads driving each job's blocks when `arch` is
+  /// `ArchId::kNativeCpu` (applied as `Config::scheduler_threads`); 0 = one
+  /// per hardware thread. Ignored by the other archs, where the submitted
+  /// thread count stands.
   unsigned native_threads = 0;
   /// Attach an engine-owned TraceSession to every job whose Config does not
   /// already carry one. The session is returned on `JobResult::trace` (stage
@@ -84,13 +84,13 @@ struct EngineConfig {
 };
 
 /// Overlay `ecfg`'s backend onto a job Config: the identity for the
-/// default arch (kSimTitanXp — the submitted Config runs verbatim); for
-/// every other arch, the tag's device constants and execution kind replace
-/// the Config's, and NativeCpu additionally resolves the scheduler thread
-/// count from `EngineConfig::native_threads` (0 = one per hardware
-/// thread). `Engine::submit` applies this to every job; serving layers
-/// that price or tune jobs before submission (src/serve) call it
-/// themselves so their predictions see the device the job will run on.
+/// default arch (kSimTitanXp — the submitted Config, its own `arch`
+/// included, runs verbatim); for every other arch, `cfg.arch` becomes the
+/// engine's, and NativeCpu also sets the scheduler thread count from
+/// `EngineConfig::native_threads` (0 = one per hardware thread).
+/// `Engine::submit` applies this to every job; serving layers that price
+/// or tune jobs before submission (src/serve) call it themselves so their
+/// predictions see the device the job will run on.
 void apply_arch(Config& cfg, const EngineConfig& ecfg);
 
 /// Aggregate engine job counts (per-job numbers such as restarts roll up

@@ -86,7 +86,7 @@ ServeHandle<T> Server<T>::submit(Csr<T> a, Csr<T> b, SubmitInfo info,
   // Price, tune and fingerprint under the backend the engine will actually
   // run: the engine overlays its arch on every submission, so mirror it
   // here before any prediction — a SimBigDevice makespan (or a NativeCpu
-  // thread count) differs from the submitted Config's device.
+  // thread count) differs from the submitted Config's.
   runtime::apply_arch(cfg, cfg_.engine);
   acs::MutexLock lock(m_);
 
@@ -102,7 +102,7 @@ ServeHandle<T> Server<T>::submit(Csr<T> a, Csr<T> b, SubmitInfo info,
   // Price the request: features are cached per structure fingerprint (the
   // extraction pass is the expensive part), the closed-form predictor then
   // costs one evaluation per submission.
-  const runtime::Fingerprint fp = runtime::fingerprint(a, b, cfg_.engine.arch);
+  const runtime::Fingerprint fp = runtime::fingerprint(a, b, cfg.arch);
   PredictionEntry& pe = predictions_[fp];
   const bool first_sight = !pe.have_features;
   if (first_sight) {

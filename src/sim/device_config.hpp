@@ -19,7 +19,6 @@ struct DeviceConfig {
   double scatter_efficiency = 0.125;
   /// Usable scratchpad (shared memory) per thread block in bytes.
   int scratchpad_bytes = 48 * 1024;
-  int warp_size = 32;
   int threads_per_block = 256;
   /// Fixed cost per kernel launch / host round trip, in microseconds. The
   /// paper's restart mechanism pays one of these per restart.
@@ -35,43 +34,9 @@ struct DeviceConfig {
   double atomic_ns = 2.0;
 
   /// Field-wise equality; constexpr so the arch layer can prove at compile
-  /// time that a tag's constants reproduce a known device exactly
-  /// (arch/invariants.hpp).
+  /// time which backends share a device (arch/invariants.hpp).
   friend constexpr bool operator==(const DeviceConfig&,
                                    const DeviceConfig&) = default;
 };
-
-/// The device all benchmarks run on unless overridden (the paper's test
-/// platform).
-inline const DeviceConfig& titan_xp() {
-  static const DeviceConfig cfg{};
-  return cfg;
-}
-
-/// GTX 1080 Ti — the artifact appendix's second test device: 28 SMs,
-/// 484 GB/s.
-inline const DeviceConfig& gtx_1080ti() {
-  static const DeviceConfig cfg = [] {
-    DeviceConfig c{};
-    c.num_sms = 28;
-    c.clock_ghz = 1.48;
-    c.mem_bandwidth_gb = 484.0;
-    return c;
-  }();
-  return cfg;
-}
-
-/// Titan X (Pascal) — the artifact appendix's third test device: 28 SMs,
-/// 480 GB/s.
-inline const DeviceConfig& titan_x_pascal() {
-  static const DeviceConfig cfg = [] {
-    DeviceConfig c{};
-    c.num_sms = 28;
-    c.clock_ghz = 1.42;
-    c.mem_bandwidth_gb = 480.0;
-    return c;
-  }();
-  return cfg;
-}
 
 }  // namespace acs::sim

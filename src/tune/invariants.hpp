@@ -9,7 +9,7 @@
 
 #include <cstddef>
 
-#include "arch/arch.hpp"
+#include "arch/arch_id.hpp"
 #include "core/config.hpp"
 #include "tune/tuner.hpp"
 
@@ -75,25 +75,28 @@ static_assert(!fits_device(
     sizeof(float)));
 
 // ---- Per-arch feasibility (docs/BACKENDS.md) -------------------------------
-// The arch layer swaps device constants under the same filter; these proofs
-// pin what each backend's scratchpad admits so a constants change that
-// silently shrinks or widens a tuning grid fails the build, not a benchmark.
+// Each backend's row swaps the device under the same filter; these proofs
+// pin what each row's scratchpad admits so a device change that silently
+// shrinks or widens a tuning grid fails the build, not a benchmark.
 
-/// The default grid tuple on `Arch`'s device constants.
-template <class Arch>
-constexpr Config arch_grid_config(int nnz_per_block, int retain) {
+/// The default grid tuple on backend `id`.
+constexpr Config arch_grid_config(arch::ArchId id, int nnz_per_block,
+                                  int retain) {
   Config cfg = grid_config(nnz_per_block, retain);
-  cfg.device = arch::device_config<Arch>();
+  cfg.arch = id;
   return cfg;
 }
+
+constexpr auto kBig = arch::ArchId::kSimBigDevice;
+constexpr auto kTitan = arch::ArchId::kSimTitanXp;
+constexpr auto kNative = arch::ArchId::kNativeCpu;
 
 /// Every (nnz_per_block, retain) tuple of the SimBigDevice grid fits its
 /// 96 KiB scratchpad for values of `value_bytes`.
 constexpr bool big_grid_fits(std::size_t value_bytes) {
   for (int npb : kBigDeviceNnzPerBlockGrid)
     for (int retain : kDefaultRetainGrid)
-      if (!fits_device(arch_grid_config<arch::SimBigDevice>(npb, retain),
-                       value_bytes))
+      if (!fits_device(arch_grid_config(kBig, npb, retain), value_bytes))
         return false;
   return true;
 }
@@ -102,20 +105,18 @@ static_assert(big_grid_fits(sizeof(double)));
 
 // The tuples the big grid buys are exactly the ones the default device
 // prunes: nnz_per_block=1024 double (49160 B) and 2048 double (57352 B) fit
-// 96 KiB but not 48 KiB. NativeCpu mirrors SimTitanXp's constants
+// 96 KiB but not 48 KiB. NativeCpu's row holds SimTitanXp's device
 // (arch/invariants.hpp), so it rejects them identically — the native
 // backend changes execution, never plan feasibility.
-static_assert(fits_device(arch_grid_config<arch::SimBigDevice>(1024, 4),
-                          sizeof(double)));
-static_assert(fits_device(arch_grid_config<arch::SimBigDevice>(2048, 4),
-                          sizeof(double)));
-static_assert(!fits_device(arch_grid_config<arch::SimTitanXp>(1024, 4),
+static_assert(fits_device(arch_grid_config(kBig, 1024, 4), sizeof(double)));
+static_assert(fits_device(arch_grid_config(kBig, 2048, 4), sizeof(double)));
+static_assert(!fits_device(arch_grid_config(kTitan, 1024, 4),
                            sizeof(double)));
-static_assert(!fits_device(arch_grid_config<arch::SimTitanXp>(2048, 4),
+static_assert(!fits_device(arch_grid_config(kTitan, 2048, 4),
                            sizeof(double)));
-static_assert(!fits_device(arch_grid_config<arch::NativeCpu>(1024, 4),
+static_assert(!fits_device(arch_grid_config(kNative, 1024, 4),
                            sizeof(double)));
-static_assert(!fits_device(arch_grid_config<arch::NativeCpu>(2048, 4),
+static_assert(!fits_device(arch_grid_config(kNative, 2048, 4),
                            sizeof(double)));
 
 }  // namespace acs::tune::invariants

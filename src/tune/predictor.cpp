@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "arch/arch.hpp"
 #include "estimate/estimator.hpp"
 #include "sim/block_primitives.hpp"
 
@@ -43,7 +44,7 @@ double kernel_makespan_s(const sim::MetricCounters& total, double blocks,
 CostBreakdown predict_cost(const TuneFeatures& f, const Config& cfg,
                            std::size_t value_bytes) {
   CostBreakdown out;
-  const sim::DeviceConfig& dev = cfg.device;
+  const sim::DeviceConfig& dev = arch::arch_info(cfg.arch).device;
   const double vb = static_cast<double>(value_bytes);
   const double nnz_a = std::max(1.0, static_cast<double>(f.nnz_a));
   const double rows_a = std::max(1.0, static_cast<double>(f.rows_a));

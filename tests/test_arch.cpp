@@ -1,8 +1,8 @@
 /// \file test_arch.cpp
 /// The arch layer's contracts (docs/BACKENDS.md):
-///  * tag sanity — every compiled-in tag round-trips through ArchId,
-///    to_string/parse_arch, arch_info and dispatch_arch, and SimTitanXp's
-///    induced device equals the pre-arch simulator defaults exactly;
+///  * the backend table — row i describes ArchId i under a unique name,
+///    SimTitanXp's device equals the pre-arch simulator defaults exactly,
+///    NativeCpu runs under it too, and unknown ids fold to the default row;
 ///  * the kernels both backends run (sim::radix_sort, compact_sorted_into)
 ///    are drop-in equivalents of the emulated GPU primitives they replace:
 ///    same sort permutation, same compaction layout, same left-to-right
@@ -12,8 +12,9 @@
 ///    scheduler threads, long rows, shrunken block shapes — and at one
 ///    scheduler thread it charges the same metrics;
 ///  * `apply_arch` resolves EngineConfig backends into runnable Configs,
-///    and an Engine on NativeCpu produces bit-identical results with zero
-///    simulated time;
+///    an Engine on NativeCpu produces bit-identical results with zero
+///    simulated time, and a job's own `Config::arch` selects its backend
+///    and plan key on a default engine;
 ///  * SimBigDevice's widened tuner grid selects block shapes SimTitanXp's
 ///    feasibility check must reject (the point of the per-arch grids).
 
@@ -21,6 +22,7 @@
 
 #include <cstdint>
 #include <random>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -40,60 +42,52 @@
 namespace acs {
 namespace {
 
-// --- Tag sanity -----------------------------------------------------------
+// --- The backend table -----------------------------------------------------
 
-TEST(ArchTags, EveryTagRoundTripsThroughIdNameAndInfo) {
-  const auto& infos = arch::all_arch_infos();
-  ASSERT_EQ(infos.size(), 3u);
-  EXPECT_EQ(infos[0].id, arch::ArchId::kSimTitanXp);
-  EXPECT_EQ(infos[1].id, arch::ArchId::kSimBigDevice);
-  EXPECT_EQ(infos[2].id, arch::ArchId::kNativeCpu);
-
-  for (const arch::ArchInfo& info : infos) {
-    EXPECT_STREQ(arch::to_string(info.id), info.name);
-    arch::ArchId parsed{};
-    ASSERT_TRUE(arch::parse_arch(info.name, parsed)) << info.name;
-    EXPECT_EQ(parsed, info.id) << info.name;
-    // arch_info agrees with the tag the id dispatches to.
-    const arch::ArchInfo direct = arch::arch_info(info.id);
-    EXPECT_EQ(direct.exec, info.exec);
-    EXPECT_EQ(direct.device, info.device);
+TEST(ArchTable, RowIHasIdIAndAUniqueName) {
+  const auto& rows = arch::kArchTable;
+  ASSERT_EQ(rows.size(), 3u);
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(static_cast<std::size_t>(rows[i].id), i);
+    EXPECT_EQ(&arch::arch_info(rows[i].id), &rows[i]);
+    ASSERT_NE(rows[i].name, nullptr);
+    EXPECT_FALSE(std::string(rows[i].name).empty()) << "row " << i;
+    EXPECT_TRUE(names.insert(rows[i].name).second) << rows[i].name;
   }
-
-  arch::ArchId out = arch::ArchId::kNativeCpu;
-  EXPECT_FALSE(arch::parse_arch("no-such-backend", out));
-  EXPECT_FALSE(arch::parse_arch(nullptr, out));
-  EXPECT_EQ(out, arch::ArchId::kNativeCpu);  // untouched on failure
-
-  EXPECT_STREQ(arch::to_string(arch::ExecKind::kSimulated), "simulated");
-  EXPECT_STREQ(arch::to_string(arch::ExecKind::kNative), "native");
 }
 
-TEST(ArchTags, SimTitanXpIsBitCompatibleWithPreArchDefaults) {
-  // The default tag must induce exactly the simulator's default device —
+TEST(ArchTable, SimTitanXpIsBitCompatibleWithPreArchDefaults) {
+  // The default row must hold exactly the simulator's default device —
   // this is what keeps pre-arch fingerprints, plans and cost predictions
-  // stable after the refactor.
-  EXPECT_EQ(arch::device_config<arch::SimTitanXp>(), sim::DeviceConfig{});
-  EXPECT_EQ(Config{}.exec, arch::ExecKind::kSimulated);
+  // stable.
+  const arch::ArchInfo& titan = arch::arch_info(arch::ArchId::kSimTitanXp);
+  EXPECT_EQ(titan.device, sim::DeviceConfig{});
+  EXPECT_EQ(titan.exec, arch::ExecKind::kSimulated);
+  EXPECT_EQ(Config{}.arch, arch::ArchId::kSimTitanXp);
 }
 
-TEST(ArchTags, NativeCpuMirrorsTitanGeometryAndBigDeviceWidens) {
-  // NativeCpu: same block geometry as the titan (bit-identity depends on
-  // it), different execution kind.
-  EXPECT_EQ(arch::device_config<arch::NativeCpu>(),
-            arch::device_config<arch::SimTitanXp>());
-  EXPECT_EQ(arch::NativeCpu::kExec, arch::ExecKind::kNative);
-  // SimBigDevice: double the scratchpad, more SMs — the widened feasible
+TEST(ArchTable, NativeCpuMirrorsTitanGeometryAndBigDeviceWidens) {
+  const arch::ArchInfo& titan = arch::arch_info(arch::ArchId::kSimTitanXp);
+  const arch::ArchInfo& native = arch::arch_info(arch::ArchId::kNativeCpu);
+  const arch::ArchInfo& big = arch::arch_info(arch::ArchId::kSimBigDevice);
+  // NativeCpu: the titan's device (bit-identity depends on it), a
+  // different execution kind.
+  EXPECT_EQ(native.device, titan.device);
+  EXPECT_EQ(native.exec, arch::ExecKind::kNative);
+  // SimBigDevice: 96 KiB of scratchpad and more SMs — the widened feasible
   // region the per-arch tuner grid exploits.
-  EXPECT_EQ(arch::SimBigDevice::kScratchpadBytes, 96 * 1024);
-  EXPECT_GT(arch::SimBigDevice::kNumSms, arch::SimTitanXp::kNumSms);
+  EXPECT_EQ(big.device.scratchpad_bytes, 96 * 1024);
+  EXPECT_GT(big.device.num_sms, titan.device.num_sms);
+  EXPECT_EQ(big.exec, arch::ExecKind::kSimulated);
 }
 
-TEST(ArchTags, UnknownIdsDispatchAsTheDefaultBackend) {
+TEST(ArchTable, UnknownIdsFoldToTheDefaultRow) {
   const auto unknown = static_cast<arch::ArchId>(0xdeadu);
-  const arch::ArchInfo info = arch::arch_info(unknown);
-  EXPECT_EQ(info.id, arch::ArchId::kSimTitanXp);
-  EXPECT_STREQ(arch::to_string(unknown), "?");
+  EXPECT_EQ(&arch::arch_info(unknown),
+            &arch::arch_info(arch::ArchId::kSimTitanXp));
+  EXPECT_EQ(arch::arch_info(static_cast<arch::ArchId>(3)).id,
+            arch::ArchId::kSimTitanXp);
 }
 
 // --- Native primitive equivalence -----------------------------------------
@@ -183,8 +177,7 @@ void expect_native_matches_sim(const Csr<T>& a, const Csr<T>& b, Config cfg,
   const Csr<T> sim_out = multiply(a, b, cfg, &sim_stats);
 
   Config nat = cfg;
-  nat.exec = arch::ExecKind::kNative;
-  nat.device = arch::device_config<arch::NativeCpu>();
+  nat.arch = arch::ArchId::kNativeCpu;
   SpgemmStats nat_stats;
   const Csr<T> nat1 = multiply(a, b, nat, &nat_stats);
   EXPECT_TRUE(nat1.equals_exact(sim_out)) << label << ": native-1 vs sim";
@@ -240,13 +233,16 @@ TEST(NativeBackend, SmallBlocksAndLongRowsStayBitIdentical) {
 
 TEST(ApplyArch, DefaultArchLeavesTheConfigUntouched) {
   runtime::EngineConfig ec;  // arch = kSimTitanXp
-  Config cfg;
-  cfg.nnz_per_block = 512;
-  const Config before = cfg;
-  runtime::apply_arch(cfg, ec);
-  EXPECT_EQ(cfg.exec, before.exec);
-  EXPECT_EQ(cfg.device, before.device);
-  EXPECT_EQ(cfg.nnz_per_block, 512);
+  for (const auto job_arch :
+       {arch::ArchId::kSimTitanXp, arch::ArchId::kNativeCpu}) {
+    Config cfg;
+    cfg.nnz_per_block = 512;
+    cfg.arch = job_arch;
+    runtime::apply_arch(cfg, ec);
+    EXPECT_EQ(cfg.arch, job_arch);  // the job's own choice stands
+    EXPECT_EQ(cfg.nnz_per_block, 512);
+    EXPECT_EQ(cfg.scheduler_threads, 1u);
+  }
 }
 
 TEST(ApplyArch, NativeCpuResolvesExecAndThreads) {
@@ -255,8 +251,7 @@ TEST(ApplyArch, NativeCpuResolvesExecAndThreads) {
   ec.native_threads = 3;
   Config cfg;
   runtime::apply_arch(cfg, ec);
-  EXPECT_EQ(cfg.exec, arch::ExecKind::kNative);
-  EXPECT_EQ(cfg.device, arch::device_config<arch::NativeCpu>());
+  EXPECT_EQ(cfg.arch, arch::ArchId::kNativeCpu);
   EXPECT_EQ(cfg.scheduler_threads, 3u);
 
   // native_threads = 0: resolved from the host (never left at zero).
@@ -270,9 +265,9 @@ TEST(ApplyArch, SimBigDeviceSwapsTheSimulatedDevice) {
   runtime::EngineConfig ec;
   ec.arch = arch::ArchId::kSimBigDevice;
   Config cfg;
+  cfg.arch = arch::ArchId::kNativeCpu;  // an engine's arch overrides a job's
   runtime::apply_arch(cfg, ec);
-  EXPECT_EQ(cfg.exec, arch::ExecKind::kSimulated);
-  EXPECT_EQ(cfg.device, arch::device_config<arch::SimBigDevice>());
+  EXPECT_EQ(cfg.arch, arch::ArchId::kSimBigDevice);
   EXPECT_EQ(cfg.scheduler_threads, 1u);  // simulated default untouched
 }
 
@@ -303,6 +298,30 @@ TEST(Engine, NativeCpuEngineIsBitIdenticalWithZeroSimulatedTime) {
   EXPECT_TRUE(nat_res[2].plan_hit);  // repeat hit the native arch's entry
 }
 
+TEST(Engine, JobArchSelectsBackendAndPlanKey) {
+  // On a default engine each job runs on the backend its own Config names,
+  // and its plan is keyed by that backend: a simulated job after a native
+  // one on the same operands misses, a second native job hits.
+  const auto a = gen_powerlaw<double>(300, 300, 5.0, 1.5, 120, 233);
+  const Csr<double> sim_c = multiply(a, a);
+  Config native;
+  native.arch = arch::ArchId::kNativeCpu;
+
+  runtime::Engine<double> engine;
+  const auto first = engine.submit(a, a, native).result();
+  EXPECT_EQ(first.stats.sim_time_s, 0.0);
+  EXPECT_TRUE(first.c.equals_exact(sim_c));
+  EXPECT_FALSE(first.plan_hit);
+
+  const auto second = engine.submit(a, a, Config{}).result();
+  EXPECT_GT(second.stats.sim_time_s, 0.0);
+  EXPECT_FALSE(second.plan_hit);
+
+  const auto third = engine.submit(a, a, native).result();
+  EXPECT_EQ(third.stats.sim_time_s, 0.0);
+  EXPECT_TRUE(third.plan_hit);
+}
+
 // --- SimBigDevice tuner ----------------------------------------------------
 
 TEST(BigDeviceTuner, SelectsBlockShapesTitanMustReject) {
@@ -316,7 +335,7 @@ TEST(BigDeviceTuner, SelectsBlockShapesTitanMustReject) {
   const auto f = tune::extract_features(a, a);
 
   Config big_base;
-  big_base.device = arch::device_config<arch::SimBigDevice>();
+  big_base.arch = arch::ArchId::kSimBigDevice;
   const tune::AutoTuner big_tuner(
       tune::default_tuner_options(arch::ArchId::kSimBigDevice));
   const TunedParams winner = big_tuner.choose(f, big_base, sizeof(double));
@@ -328,7 +347,7 @@ TEST(BigDeviceTuner, SelectsBlockShapesTitanMustReject) {
   winner.apply(on_big);
   EXPECT_TRUE(fits_device(on_big, sizeof(double)));
   Config on_titan;
-  on_titan.device = arch::device_config<arch::SimTitanXp>();
+  on_titan.arch = arch::ArchId::kSimTitanXp;
   winner.apply(on_titan);
   EXPECT_FALSE(fits_device(on_titan, sizeof(double)));
 

@@ -151,10 +151,10 @@ TEST(Determinism, ChunkCopyIndependentOfSchedulerThreads) {
   // long become unshared pointer chunks that the split copy expands.
   const auto m = gen_uniform_random<double>(150000, 150000, 4.0, 3.0, 21);
   for (const index_t long_row_threshold : {0, 7}) {
-    for (const auto exec :
-         {arch::ExecKind::kSimulated, arch::ExecKind::kNative}) {
+    for (const auto backend :
+         {arch::ArchId::kSimTitanXp, arch::ArchId::kNativeCpu}) {
       Config one;
-      one.exec = exec;
+      one.arch = backend;
       one.long_row_threshold = long_row_threshold;
       Config four = one;
       four.scheduler_threads = 4;
@@ -163,7 +163,7 @@ TEST(Determinism, ChunkCopyIndependentOfSchedulerThreads) {
       const auto c4 = multiply(m, m, four, &s4);
       SCOPED_TRACE(testing::Message()
                    << "long_row_threshold=" << long_row_threshold
-                   << " native=" << (exec == arch::ExecKind::kNative));
+                   << " native=" << (backend == arch::ArchId::kNativeCpu));
       EXPECT_TRUE(c1.equals_exact(c4));
       EXPECT_EQ(s1.sim_time_s, s4.sim_time_s);
       EXPECT_EQ(s1.stage_times_s, s4.stage_times_s);

@@ -21,11 +21,10 @@
 4. Architecture-map completeness: every directory under src/ must be
    named (as `src/<dir>`) in docs/ARCHITECTURE.md, so new subsystems
    cannot ship without a place in the layer map.
-5. Backend-table completeness: every architecture tag compiled into
-   src/arch/ (a struct carrying `static constexpr ArchId kId`) must be
-   listed in docs/BACKENDS.md — both the tag type and its `kName`
-   spelling — so a new backend cannot ship without its row in the
-   porting guide.
+5. Backend-table completeness: every `ArchId` enumerator
+   (src/arch/arch_id.hpp) and every row name of the backend table
+   (`kArchTable` in src/arch/arch.hpp) must appear in docs/BACKENDS.md,
+   so a new backend cannot ship without its row in the porting guide.
 6. Mutex-table completeness: every mutex registered in
    tools/lint/lock_order.toml (which the `lock-order` lint rule holds in
    sync with the annotated tree) must appear, with its rank, in the
@@ -241,37 +240,37 @@ def check_architecture_dirs() -> list[str]:
     return errors
 
 
-ARCH_TAG_RE = re.compile(
-    r"struct\s+(\w+)\s*\{[^}]*?static\s+constexpr\s+ArchId\s+kId", re.S)
-ARCH_NAME_RE = re.compile(
-    r"struct\s+(\w+)\s*\{[^}]*?kName\s*=\s*\"([^\"]+)\"", re.S)
+ARCH_ENUM_RE = re.compile(r"enum\s+class\s+ArchId\b[^{]*\{(.*?)\};", re.S)
+ARCH_ENUMERATOR_RE = re.compile(r"^\s*(k\w+)\s*=", re.M)
+ARCH_TABLE_RE = re.compile(r"\bkArchTable\s*\{\{(.*?)\}\};", re.S)
+ARCH_ROW_NAME_RE = re.compile(r"\{\s*ArchId::\w+\s*,\s*\"([^\"]+)\"")
 
 
 def check_backends() -> list[str]:
-    """docs/BACKENDS.md must list every arch tag compiled into src/arch/."""
+    """docs/BACKENDS.md must list every ArchId and backend-table row."""
     backends = REPO / "docs/BACKENDS.md"
     if not backends.exists():
         return ["docs/BACKENDS.md: required doc file missing"]
     text = backends.read_text()
+    enum = ARCH_ENUM_RE.search((REPO / "src/arch/arch_id.hpp").read_text())
+    table = ARCH_TABLE_RE.search((REPO / "src/arch/arch.hpp").read_text())
+    ids = ARCH_ENUMERATOR_RE.findall(enum.group(1)) if enum else []
+    names = ARCH_ROW_NAME_RE.findall(table.group(1)) if table else []
+    if not ids:
+        return ["src/arch/arch_id.hpp: no ArchId enumerators found"]
+    if not names:
+        return ["src/arch/arch.hpp: no kArchTable rows found"]
     errors = []
-    tags: dict[str, str | None] = {}
-    for header in sorted((REPO / "src/arch").glob("*.hpp")):
-        source = header.read_text()
-        names = dict(ARCH_NAME_RE.findall(source))
-        for tag in ARCH_TAG_RE.findall(source):
-            tags[tag] = names.get(tag)
-    if not tags:
-        return ["src/arch: no architecture tags found (ArchId kId markers)"]
-    for tag in sorted(tags):
-        if tag not in text:
+    for arch_id in ids:
+        if f"`{arch_id}`" not in text:
             errors.append(
-                f"docs/BACKENDS.md: arch tag {tag} exists under src/arch/ "
+                f"docs/BACKENDS.md: ArchId::{arch_id} exists under src/arch/ "
                 f"but is absent from the backend table")
-        kname = tags[tag]
-        if kname and kname not in text:
+    for name in names:
+        if f"`{name}`" not in text:
             errors.append(
-                f"docs/BACKENDS.md: backend name \"{kname}\" ({tag}) is "
-                f"absent from the backend table")
+                f"docs/BACKENDS.md: backend name \"{name}\" is absent from "
+                f"the backend table")
     return errors
 
 
