@@ -121,10 +121,6 @@ class Pipeline {
         cfg.retain_per_thread >= cfg.elements_per_thread)
       throw std::invalid_argument(
           "acspgemm: retain_per_thread must be in [0, elements_per_thread)");
-    if (!(cfg.pool_growth_factor > 1.0))
-      throw std::invalid_argument(
-          "acspgemm: pool_growth_factor must be > 1 (growth must make "
-          "progress every restart)");
     if (cfg.temp_capacity() > 32767)
       throw std::invalid_argument(
           "acspgemm: temp capacity exceeds the 15-bit compaction counters");
@@ -168,35 +164,21 @@ class Pipeline {
     return t.time_s;
   }
 
-  /// One restart round's pool growth ("resize and restart", §3.5): bounded
-  /// geometric. The step is (factor - 1) × current capacity — doubling by
-  /// default — floored at 64 KB so a tiny override still makes progress and
-  /// capped at `pool_growth_max_step_bytes` so a huge pool grows linearly
-  /// instead of overshooting. A pool undersized by a factor D therefore
-  /// converges in O(log D) restarts; the final capacity feeds back into the
-  /// plan (finalize_stats), so warm replays start restart-free.
-  void grow_pool_after_restart() {
-    const double want = static_cast<double>(pool_.capacity()) *
-                        (cfg_.pool_growth_factor - 1.0);
-    std::size_t step = want >= static_cast<double>(cfg_.pool_growth_max_step_bytes)
-                           ? cfg_.pool_growth_max_step_bytes
-                           : static_cast<std::size_t>(want);
-    step = std::max(step, std::size_t{64} << 10);
-    pool_.grow(step);
-  }
-
-  /// Per-round restart bookkeeping shared by the ESC and merge stages.
+  /// Per-round restart bookkeeping shared by the ESC and merge stages. A
+  /// round with denials grows the pool by `restart_growth_step`; the final
+  /// capacity feeds back into the plan (finalize_stats), so warm replays
+  /// start restart-free.
   void record_restart_round(std::size_t failed_blocks) {
     stats_.pool_denials += failed_blocks;
     if (failed_blocks == 0) return;
     ++stats_.restarts;
-    grow_pool_after_restart();
+    pool_.grow(restart_growth_step(pool_.capacity()));
   }
 
   // --- Stage 1: global load balancing (Algorithm 1). -----------------------
   void global_load_balance() {
     ACS_TRACE_SPAN(span, trace_, "GLB");
-    if (plan_.has_load_balance(cfg_, a_.nnz())) {
+    if (plan_.has_load_balance(cfg_, a_.row_ptr)) {
       // blockRowStarts depends only on A's row pointer; reusing the plan's
       // table skips the kernel entirely (no launch, no simulated time).
       block_row_starts_ = plan_.block_row_starts;
@@ -540,7 +522,6 @@ class Pipeline {
     // restarts.
     if (!stats_.glb_reused) plan_.block_row_starts = block_row_starts_;
     plan_.nnz_per_block = cfg_.nnz_per_block;
-    plan_.nnz_a = a_.nnz();
     plan_.pool_bytes = pool_.capacity();
     plan_.observed_pool_used = pool_.used();
     plan_.observed_restarts = stats_.restarts;
@@ -551,22 +532,14 @@ class Pipeline {
             (sizeof(index_t) + 8 + sizeof(index_t)) +  // row counters, list
                                                        // heads, shared rows
         chunks_.size() * 8;                            // chunk pointer array
-    if (trace_) trace_->counters().add(trace_record());
+    if (trace_) trace_->add_counters(trace_record());
   }
 
   /// The run's one trace record: the facts `stats_` already holds, plus
-  /// the tallies only the trace reports.
+  /// the tallies only the trace reports and the blocks' host time.
   [[nodiscard]] trace::CountersSnapshot trace_record() const {
-    trace::CountersSnapshot r = tallies_;
-    r.pool_alloc_bytes = pool_.used();
-    r.pool_denials = stats_.pool_denials;
-    r.pool_capacity_bytes = stats_.pool_bytes;
-    r.pool_used_bytes = stats_.pool_used_bytes;
-    r.pool_estimate_bytes = stats_.pool_estimate_bytes;
-    r.restarts = static_cast<std::uint64_t>(stats_.restarts);
-    r.esc_iterations = stats_.esc_iterations;
-    r.chunks_written = stats_.chunks_created;
-    r.long_row_chunks = stats_.long_row_chunks;
+    trace::CountersSnapshot r = to_counters_snapshot(stats_);
+    r += tallies_;  // zero in every field `stats_` keeps
     block_times_.fold_into(r);
     return r;
   }

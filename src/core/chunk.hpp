@@ -8,6 +8,7 @@
 /// tracks allocation against a fixed capacity; exhaustion triggers the
 /// restart mechanism.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -123,6 +124,16 @@ class AllocationPolicy {
   /// True to allow the attempt, false to simulate pool exhaustion.
   virtual bool allow(const AllocationRequest& request) = 0;
 };
+
+/// One restart round's pool growth ("resize and restart", §3.5): the step
+/// is the current capacity, so the pool doubles, floored at 64 KiB so a
+/// tiny pool still makes progress and capped at 1 GiB so a huge pool grows
+/// linearly instead of overshooting. A pool undersized by a factor D
+/// therefore converges in O(log D) restarts. core/invariants.hpp proves
+/// the three regimes.
+[[nodiscard]] constexpr std::size_t restart_growth_step(std::size_t capacity) {
+  return std::clamp(capacity, std::size_t{64} << 10, std::size_t{1} << 30);
+}
 
 /// Memory-accounting view of the chunk pool: a bump allocator with a hard
 /// capacity. `try_allocate` mirrors the GPU's atomic-counter increment; the

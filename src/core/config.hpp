@@ -68,14 +68,6 @@ struct Config {
   /// Exact pool size override; 0 = use the estimate. Used by the restart
   /// experiments of Section 4.3.
   std::size_t pool_override_bytes = 0;
-  /// Pool growth per restart round as a multiple of the current capacity
-  /// (2.0 = doubling). Geometric growth makes a badly undersized pool
-  /// converge in O(log deficit) restarts instead of O(deficit / initial);
-  /// must be > 1.
-  double pool_growth_factor = 2.0;
-  /// Cap on a single growth step so a huge pool cannot double into an
-  /// absurd allocation; growth degrades to linear beyond it.
-  std::size_t pool_growth_max_step_bytes = std::size_t{1} << 30;
   /// Fault-injection hook installed on the run's chunk pool (non-owning;
   /// must outlive the multiplication and be safe to call from
   /// `scheduler_threads` concurrent blocks). Null (default) = no injection.

@@ -21,6 +21,8 @@
 ///   4. Sort-key bit reduction: bits_for boundaries, the paper's 9+23=32
 ///      example, codec round trips at range extremes, and 64-bit key
 ///      sufficiency for the default block shape.
+///   5. Restart pool growth: the 64 KiB floor, doubling in between, and
+///      the 1 GiB cap.
 
 #include <cstdint>
 #include <type_traits>
@@ -271,5 +273,23 @@ static_assert(kStaticWorstCase.row_of(kStaticWorstCase.encode(
                   2047, 0x7FFFFFFE)) == 2047);
 static_assert(kStaticWorstCase.col_of(kStaticWorstCase.encode(
                   2047, 0x7FFFFFFE)) == 0x7FFFFFFE);
+
+// ---------------------------------------------------------------------------
+// 5. Restart pool growth (chunk.hpp, restart_growth_step).
+// ---------------------------------------------------------------------------
+
+inline constexpr std::size_t kKiB = std::size_t{1} << 10;
+inline constexpr std::size_t kMiB = std::size_t{1} << 20;
+inline constexpr std::size_t kGiB = std::size_t{1} << 30;
+// Floor: a tiny (or empty) pool still grows by 64 KiB per round.
+static_assert(restart_growth_step(0) == 64 * kKiB);
+static_assert(restart_growth_step(4 * kKiB) == 64 * kKiB);
+// Doubling: between the bounds the step is the capacity itself.
+static_assert(restart_growth_step(64 * kKiB) == 64 * kKiB);
+static_assert(restart_growth_step(100 * kMiB) == 100 * kMiB);
+static_assert(restart_growth_step(kGiB) == kGiB);
+// Cap: beyond 1 GiB the pool grows linearly, 1 GiB per round.
+static_assert(restart_growth_step(kGiB + 1) == kGiB);
+static_assert(restart_growth_step(3 * kGiB) == kGiB);
 
 }  // namespace acs::invariants

@@ -56,10 +56,8 @@ struct SpgemmPlan {
   /// plan carries no load-balancing table yet and the pipeline builds one.
   std::vector<index_t> block_row_starts;
   /// Decomposition the table was built for; a plan only applies to a run
-  /// with the same `Config::nnz_per_block` ...
+  /// with the same `Config::nnz_per_block`.
   int nnz_per_block = 0;
-  /// ... and the same nnz(A) (same structure implies same nnz).
-  offset_t nnz_a = 0;
   /// Initial chunk-pool capacity to use; 0 = run the paper's estimate.
   /// After a run this holds the final capacity including restart growth, so
   /// replaying the plan needs no restarts.
@@ -73,11 +71,30 @@ struct SpgemmPlan {
   /// Completed runs recorded into this plan.
   std::size_t runs = 0;
 
-  /// True if the stored load-balancing table can be reused for a
-  /// multiplication of an A with `nnz` non-zeros under `cfg`.
-  [[nodiscard]] bool has_load_balance(const Config& cfg, offset_t nnz) const {
-    return !block_row_starts.empty() && nnz_per_block == cfg.nnz_per_block &&
-           nnz_a == nnz;
+  /// True if the stored load-balancing table is the one Algorithm 1 builds
+  /// for an A with row pointer `row_ptr` under `cfg`: one entry per block,
+  /// and each block b's start row s holds A's non-zero b·nnz_per_block
+  /// (row_ptr[s] <= b·nnz_per_block < row_ptr[s+1]). O(blocks). Plans are
+  /// keyed by a hash of the row pointer, which is not collision resistant,
+  /// so a table learned on another structure must fail here rather than
+  /// hand its blocks the wrong rows.
+  [[nodiscard]] bool has_load_balance(
+      const Config& cfg, const std::vector<index_t>& row_ptr) const {
+    if (row_ptr.empty() || block_row_starts.empty() || nnz_per_block <= 0)
+      return false;
+    if (nnz_per_block != cfg.nnz_per_block ||
+        block_row_starts.size() != static_cast<std::size_t>(divup<offset_t>(
+                                       row_ptr.back(), nnz_per_block)))
+      return false;
+    const std::size_t rows = row_ptr.size() - 1;
+    for (std::size_t b = 0; b < block_row_starts.size(); ++b) {
+      const index_t s = block_row_starts[b];
+      const auto first = static_cast<offset_t>(b) * nnz_per_block;
+      if (s < 0 || static_cast<std::size_t>(s) >= rows ||
+          row_ptr[usize(s)] > first || first >= row_ptr[usize(s) + 1])
+        return false;
+    }
+    return true;
   }
 };
 

@@ -1,7 +1,5 @@
 #include "matrix/symbolic.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace acs {
@@ -38,24 +36,9 @@ offset_t symbolic_nnz(const Csr<T>& a, const Csr<T>& b) {
   return total;
 }
 
-template <class T>
-double estimated_nnz(const Csr<T>& a, const Csr<T>& b) {
-  const double rows_a = std::max<double>(1.0, static_cast<double>(a.rows));
-  const double rows_b = std::max<double>(1.0, static_cast<double>(b.rows));
-  const double cols_b = std::max<double>(1.0, static_cast<double>(b.cols));
-  const double avg_a = static_cast<double>(a.nnz()) / rows_a;
-  const double avg_b = static_cast<double>(b.nnz()) / rows_b;
-  const double p_b = avg_b / cols_b;
-  const double collision_scale =
-      p_b < 1e-12 ? avg_a : (1.0 - std::pow(1.0 - p_b, avg_a)) / p_b;
-  return rows_a * avg_b * collision_scale;
-}
-
 template std::vector<index_t> symbolic_row_nnz(const Csr<float>&, const Csr<float>&);
 template std::vector<index_t> symbolic_row_nnz(const Csr<double>&, const Csr<double>&);
 template offset_t symbolic_nnz(const Csr<float>&, const Csr<float>&);
 template offset_t symbolic_nnz(const Csr<double>&, const Csr<double>&);
-template double estimated_nnz(const Csr<float>&, const Csr<float>&);
-template double estimated_nnz(const Csr<double>&, const Csr<double>&);
 
 }  // namespace acs

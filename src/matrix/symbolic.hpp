@@ -19,17 +19,9 @@ std::vector<index_t> symbolic_row_nnz(const Csr<T>& a, const Csr<T>& b);
 template <class T>
 offset_t symbolic_nnz(const Csr<T>& a, const Csr<T>& b);
 
-/// The paper's probabilistic estimate of nnz(C) under the uniform-row model
-/// (Section 4): S ≈ nA · b · (1-(1-p_b)^a)/p_b. Used for the chunk pool;
-/// exposed for testing the estimate against symbolic_nnz.
-template <class T>
-double estimated_nnz(const Csr<T>& a, const Csr<T>& b);
-
 extern template std::vector<index_t> symbolic_row_nnz(const Csr<float>&, const Csr<float>&);
 extern template std::vector<index_t> symbolic_row_nnz(const Csr<double>&, const Csr<double>&);
 extern template offset_t symbolic_nnz(const Csr<float>&, const Csr<float>&);
 extern template offset_t symbolic_nnz(const Csr<double>&, const Csr<double>&);
-extern template double estimated_nnz(const Csr<float>&, const Csr<float>&);
-extern template double estimated_nnz(const Csr<double>&, const Csr<double>&);
 
 }  // namespace acs

@@ -238,9 +238,10 @@ class Engine {
 
   [[nodiscard]] EngineStats stats() const ACS_EXCLUDES(m_);
   /// Rolling metrics over every successfully completed job: the sum of
-  /// `to_metrics_snapshot(JobResult::stats)` (stage sim-time totals,
-  /// restarts, pool high-water marks) plus the counters of engine-owned
-  /// trace sessions (`collect_job_traces`).
+  /// `to_metrics_snapshot(JobResult::stats)` (stage sim-time totals and
+  /// the counter record: restarts, denials, chunks, pool high-water marks).
+  /// A job with an engine-owned trace session (`collect_job_traces`)
+  /// contributes that session's record, which adds the trace-only tallies.
   [[nodiscard]] trace::MetricsSnapshot metrics() const ACS_EXCLUDES(m_);
   [[nodiscard]] PlanCache::Counters plan_counters() const {
     return cache_.counters();

@@ -30,7 +30,6 @@ struct Fingerprint {
   /// are learned on one device's constants (and the server's tuned
   /// overlays chosen under one arch's grid) — so two engines on different
   /// backends must never share an entry.
-  /// 0 (kSimTitanXp) keeps pre-arch fingerprints stable.
   std::uint32_t arch = 0;
 
   friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
@@ -48,9 +47,11 @@ struct FingerprintHash {
 /// FNV-1a over an index array (exposed for tests).
 std::uint64_t hash_indices(const index_t* data, std::size_t count);
 
-/// Fingerprint of the job C = A·B on the default backend (kSimTitanXp).
+/// Fingerprint of the job C = A·B executed on backend `id`. The engine
+/// keys its plan cache and the server its per-structure tune with it, so
+/// the same structure under two archs occupies two entries.
 template <class T>
-Fingerprint fingerprint(const Csr<T>& a, const Csr<T>& b) {
+Fingerprint fingerprint(const Csr<T>& a, const Csr<T>& b, arch::ArchId id) {
   Fingerprint f;
   f.row_ptr_hash = hash_indices(a.row_ptr.data(), a.row_ptr.size());
   f.rows_a = a.rows;
@@ -59,15 +60,6 @@ Fingerprint fingerprint(const Csr<T>& a, const Csr<T>& b) {
   f.rows_b = b.rows;
   f.cols_b = b.cols;
   f.nnz_b = b.nnz();
-  return f;
-}
-
-/// Fingerprint of the job C = A·B executed on backend `id`. The engine
-/// keys its plan cache and the server its per-structure tune with this
-/// overload, so the same structure under two archs occupies two entries.
-template <class T>
-Fingerprint fingerprint(const Csr<T>& a, const Csr<T>& b, arch::ArchId id) {
-  Fingerprint f = fingerprint(a, b);
   f.arch = static_cast<std::uint32_t>(id);
   return f;
 }

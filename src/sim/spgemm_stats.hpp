@@ -77,10 +77,16 @@ struct SpgemmStats {
   }
 };
 
-/// One run's stats as an aggregatable metrics snapshot (jobs = 1). The
-/// canonical stage times come straight from `stage_times_s`; the trace
-/// counter block stays zero — merge a live `trace::TraceSession`'s counters
-/// on top when tracing was enabled for the run.
+/// The run's counter record as far as `s` holds it: restarts, denials, ESC
+/// iterations, chunks, long-row chunks, the three pool gauges and the
+/// allocated bytes. The pipeline adds its trace-only tallies and block
+/// times on top before it hands the record to a trace session.
+[[nodiscard]] trace::CountersSnapshot to_counters_snapshot(
+    const SpgemmStats& s);
+
+/// One run's stats as an aggregatable metrics snapshot (jobs = 1): the
+/// canonical stage times from `stage_times_s` and the counter record of
+/// `to_counters_snapshot`.
 [[nodiscard]] trace::MetricsSnapshot to_metrics_snapshot(const SpgemmStats& s);
 
 }  // namespace acs

@@ -62,8 +62,9 @@ struct BatchBenchResult {
   double plan_hit_rate = 0.0;         ///< engine batches only
   std::size_t pool_reused_bytes = 0;  ///< engine batches only
   std::size_t pool_fresh_bytes = 0;   ///< engine batches only
-  /// Aggregated per-job metrics (stage sim-time breakdown, pool high-water
-  /// marks; trace counters when the engine ran with collect_job_traces).
+  /// Aggregated per-job metrics (stage sim-time breakdown and the counter
+  /// record; its trace-only tallies when the engine ran with
+  /// collect_job_traces).
   trace::MetricsSnapshot metrics;
 };
 

@@ -1,10 +1,10 @@
 #include "suite/hybrid.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "baselines/nsparse_like.hpp"
 #include "core/acspgemm.hpp"
+#include "estimate/estimator.hpp"
 #include "matrix/stats.hpp"
 
 namespace acs {
@@ -23,13 +23,9 @@ typename HybridSpgemm<T>::Choice HybridSpgemm<T>::choose(
   // ESC's breaking point ("the per-product cost is simply too high").
   const double products =
       static_cast<double>(a.nnz()) * avg_b;  // expectation over columns
-  const double cols_b = std::max<double>(1.0, static_cast<double>(b.cols));
-  const double p_b = avg_b / cols_b;
-  const double est_nnz_c =
-      p_b < 1e-12
-          ? products
-          : static_cast<double>(a.rows) * avg_b *
-                (1.0 - std::pow(1.0 - p_b, avg_a)) / p_b;
+  const double est_nnz_c = estimate::uniform_output_nnz(
+      static_cast<double>(a.rows), avg_a, avg_b,
+      std::max<double>(1.0, static_cast<double>(b.cols)));
   const double compaction = products / std::max(est_nnz_c, 1.0);
   return compaction >= compaction_threshold_ ? Choice::Hash
                                              : Choice::AcSpgemm;

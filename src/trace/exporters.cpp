@@ -109,29 +109,6 @@ SimLayout layout_sim_timeline(const std::vector<SpanRecord>& spans) {
   return l;
 }
 
-void append_counters_json(std::ostringstream& os, const CountersSnapshot& c) {
-  os << "{\"pool_alloc_bytes\": " << c.pool_alloc_bytes
-     << ", \"pool_denials\": " << c.pool_denials
-     << ", \"pool_capacity_bytes\": " << c.pool_capacity_bytes
-     << ", \"pool_used_bytes\": " << c.pool_used_bytes
-     << ", \"pool_estimate_bytes\": " << c.pool_estimate_bytes
-     << ", \"restarts\": " << c.restarts
-     << ", \"esc_blocks\": " << c.esc_blocks
-     << ", \"esc_iterations\": " << c.esc_iterations
-     << ", \"esc_iteration_hist\": [";
-  for (std::size_t i = 0; i < kEscHistBuckets; ++i)
-    os << (i ? ", " : "") << c.esc_iteration_hist[i];
-  os << "], \"chunks_written\": " << c.chunks_written
-     << ", \"long_row_chunks\": " << c.long_row_chunks
-     << ", \"merge_case_rows\": {\"multi\": " << c.merge_case_rows[kMultiMerge]
-     << ", \"path\": " << c.merge_case_rows[kPathMerge]
-     << ", \"search\": " << c.merge_case_rows[kSearchMerge]
-     << "}, \"merge_windows\": " << c.merge_windows
-     << ", \"blocks_executed\": " << c.blocks_executed
-     << ", \"block_time_ns_sum\": " << c.block_time_ns_sum
-     << ", \"block_time_ns_max\": " << c.block_time_ns_max << "}";
-}
-
 }  // namespace
 
 std::array<double, kNumStages> sim_stage_totals(
@@ -171,34 +148,6 @@ std::string to_chrome_json(const TraceSession& session,
     os << "}}";
   }
   os << "\n]}\n";
-  return os.str();
-}
-
-std::string to_flat_json(const TraceSession& session,
-                         const ExportOptions& opts) {
-  const std::vector<SpanRecord> spans = session.spans();
-  const auto by_name = aggregate_by_name(spans);
-  const auto stages = sim_stage_totals(spans);
-
-  std::ostringstream os;
-  os << "{\n";
-  if (opts.include_wall)
-    os << "  \"wall_time_s\": " << fmt(session.elapsed_s()) << ",\n";
-  os << "  \"spans\": {";
-  for (std::size_t i = 0; i < by_name.size(); ++i) {
-    const auto& [name, agg] = by_name[i];
-    os << (i ? ", " : "") << "\"" << escape(name)
-       << "\": {\"count\": " << agg.count << ", \"sim_s\": " << fmt(agg.sim_s);
-    if (opts.include_wall) os << ", \"wall_s\": " << fmt(agg.wall_s);
-    os << "}";
-  }
-  os << "},\n  \"stage_sim_s\": {";
-  for (std::size_t i = 0; i < kNumStages; ++i)
-    os << (i ? ", " : "") << "\"" << kStageNames[i]
-       << "\": " << fmt(stages[i]);
-  os << "},\n  \"counters\": ";
-  append_counters_json(os, session.counters_snapshot());
-  os << "\n}\n";
   return os.str();
 }
 

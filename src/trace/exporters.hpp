@@ -1,13 +1,11 @@
 #pragma once
 /// \file exporters.hpp
-/// Serialization of a `TraceSession` for three consumers:
+/// Serialization of a `TraceSession` for two consumers:
 ///  * `to_chrome_json` — Chrome `trace_event` JSON (load in Perfetto /
 ///    chrome://tracing). Spans are laid out on the *simulated* timeline:
 ///    a span's duration is its attributed simulated time plus that of its
 ///    children, so the per-stage totals visible in the viewer equal the
 ///    Fig. 7 breakdown exactly. Wall-clock times ride along in `args`.
-///  * `to_flat_json` — flat per-span-name aggregation plus all counters,
-///    the machine-readable form the benches embed in their reports.
 ///  * `to_table` — human-readable text table for examples and debugging.
 
 #include <array>
@@ -27,8 +25,6 @@ struct ExportOptions {
 
 [[nodiscard]] std::string to_chrome_json(const TraceSession& session,
                                          const ExportOptions& opts = {});
-[[nodiscard]] std::string to_flat_json(const TraceSession& session,
-                                       const ExportOptions& opts = {});
 [[nodiscard]] std::string to_table(const TraceSession& session);
 
 /// Simulated time summed per canonical stage (see `kStageNames`) over all

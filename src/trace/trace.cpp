@@ -26,58 +26,6 @@ CountersSnapshot& CountersSnapshot::operator+=(const CountersSnapshot& o) {
   return *this;
 }
 
-void Counters::add(const CountersSnapshot& run) {
-  const auto sum = [](std::atomic<std::uint64_t>& a, std::uint64_t v) {
-    // mo: trace counters; readers snapshot them after the runs join.
-    a.fetch_add(v, std::memory_order_relaxed);
-  };
-  sum(pool_alloc_bytes, run.pool_alloc_bytes);
-  sum(pool_denials, run.pool_denials);
-  raise(pool_capacity_bytes, run.pool_capacity_bytes);
-  raise(pool_used_bytes, run.pool_used_bytes);
-  raise(pool_estimate_bytes, run.pool_estimate_bytes);
-  sum(restarts, run.restarts);
-  sum(esc_blocks, run.esc_blocks);
-  sum(esc_iterations, run.esc_iterations);
-  for (std::size_t i = 0; i < kEscHistBuckets; ++i)
-    sum(esc_iteration_hist[i], run.esc_iteration_hist[i]);
-  sum(chunks_written, run.chunks_written);
-  sum(long_row_chunks, run.long_row_chunks);
-  for (std::size_t i = 0; i < merge_case_rows.size(); ++i)
-    sum(merge_case_rows[i], run.merge_case_rows[i]);
-  sum(merge_windows, run.merge_windows);
-  sum(blocks_executed, run.blocks_executed);
-  sum(block_time_ns_sum, run.block_time_ns_sum);
-  raise(block_time_ns_max, run.block_time_ns_max);
-}
-
-CountersSnapshot Counters::snapshot() const {
-  CountersSnapshot s;
-  const auto get = [](const std::atomic<std::uint64_t>& a) {
-    // mo: snapshot of monotonic counters; exact totals only after joins.
-    return a.load(std::memory_order_relaxed);
-  };
-  s.pool_alloc_bytes = get(pool_alloc_bytes);
-  s.pool_denials = get(pool_denials);
-  s.pool_capacity_bytes = get(pool_capacity_bytes);
-  s.pool_used_bytes = get(pool_used_bytes);
-  s.pool_estimate_bytes = get(pool_estimate_bytes);
-  s.restarts = get(restarts);
-  s.esc_blocks = get(esc_blocks);
-  s.esc_iterations = get(esc_iterations);
-  for (std::size_t i = 0; i < kEscHistBuckets; ++i)
-    s.esc_iteration_hist[i] = get(esc_iteration_hist[i]);
-  s.chunks_written = get(chunks_written);
-  s.long_row_chunks = get(long_row_chunks);
-  for (std::size_t i = 0; i < s.merge_case_rows.size(); ++i)
-    s.merge_case_rows[i] = get(merge_case_rows[i]);
-  s.merge_windows = get(merge_windows);
-  s.blocks_executed = get(blocks_executed);
-  s.block_time_ns_sum = get(block_time_ns_sum);
-  s.block_time_ns_max = get(block_time_ns_max);
-  return s;
-}
-
 void BlockTimes::fold_into(CountersSnapshot& record) const {
   // mo: read after the run's dispatches joined, which publish the adds.
   record.blocks_executed = blocks.load(std::memory_order_relaxed);
@@ -97,7 +45,25 @@ BlockTimer::~BlockTimer() {
   sink_->blocks.fetch_add(1, std::memory_order_relaxed);
   // mo: same as above.
   sink_->ns_sum.fetch_add(ns, std::memory_order_relaxed);
-  Counters::raise(sink_->ns_max, ns);
+  // mo: CAS seed; a stale read just costs one extra loop round.
+  std::uint64_t cur = sink_->ns_max.load(std::memory_order_relaxed);
+  while (cur < ns) {
+    // mo: max-gauge CAS — its atomicity alone keeps the gauge monotone;
+    // mo: no other data is published through it.
+    if (sink_->ns_max.compare_exchange_weak(cur, ns,
+                                            std::memory_order_relaxed))
+      break;
+  }
+}
+
+void TraceSession::add_counters(const CountersSnapshot& run) {
+  acs::MutexLock lock(m_);
+  counters_ += run;
+}
+
+CountersSnapshot TraceSession::counters_snapshot() const {
+  acs::MutexLock lock(m_);
+  return counters_;
 }
 
 SpanId TraceSession::begin_span(std::string_view name) {
@@ -155,7 +121,5 @@ std::size_t TraceSession::span_count() const {
   acs::MutexLock lock(m_);
   return spans_.size();
 }
-
-double TraceSession::elapsed_s() const { return now_s(); }
 
 }  // namespace acs::trace

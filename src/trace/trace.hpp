@@ -3,17 +3,18 @@
 /// Stage-level observability for the SpGEMM pipeline: a low-overhead,
 /// thread-safe tracing and metrics layer. A `TraceSession` records a span
 /// tree (one span per pipeline stage / kernel launch, wall-clock start/end
-/// plus attributed simulated time) and a set of `Counters` (chunk pool
+/// plus attributed simulated time) and one `CountersSnapshot` (chunk pool
 /// traffic, restarts, ESC iteration histogram, rows per merge case, block
 /// host-time attribution). Spans open through the `ACS_TRACE_*` macros,
 /// which cost a single null-pointer check when tracing is disabled — the
-/// overhead policy DESIGN.md §7 commits to. Counters have one writer: the
-/// pipeline adds one `CountersSnapshot` per finished run.
+/// overhead policy DESIGN.md §7 commits to. The counter record has one
+/// writer: the pipeline adds one `CountersSnapshot` per finished run
+/// (`TraceSession::add_counters`).
 ///
 /// Sessions are safe to share between threads: spans keep per-thread parent
 /// stacks (a worker's spans nest under that worker's open spans, never under
-/// another thread's), counters are relaxed atomics, and snapshot accessors
-/// copy under the session mutex.
+/// another thread's), and the spans, the counter record and every accessor
+/// that copies them sit under the session mutex.
 ///
 /// Example:
 /// \code
@@ -44,10 +45,12 @@ inline constexpr SpanId kNoSpan = 0xffffffffu;
 /// final bucket for everything beyond.
 inline constexpr std::size_t kEscHistBuckets = 8;
 
-/// Merge-case indices for `Counters::merge_case_rows`.
+/// Merge-case indices for `CountersSnapshot::merge_case_rows`.
 enum MergeCase : std::size_t { kMultiMerge = 0, kPathMerge = 1, kSearchMerge = 2 };
 
-/// Plain (non-atomic) copy of a session's counters; aggregatable.
+/// One run's counters, or the sum of several runs' (`operator+=`): sums
+/// add, and the gauges (`pool_capacity_bytes`, `pool_used_bytes`,
+/// `pool_estimate_bytes`, `block_time_ns_max`) keep the maximum.
 struct CountersSnapshot {
   // Chunk pool.
   std::uint64_t pool_alloc_bytes = 0;   ///< bytes successfully allocated
@@ -82,49 +85,10 @@ struct CountersSnapshot {
                                       : kEscHistBuckets - 1;
 }
 
-/// Live counter set: relaxed atomics, so runs sharing a session may add to
-/// it concurrently. Gauges (`*_capacity_bytes`, `*_used_bytes`,
-/// `pool_estimate_bytes`, `block_time_ns_max`) keep the maximum observed
-/// value; everything else accumulates.
-struct Counters {
-  std::atomic<std::uint64_t> pool_alloc_bytes{0};
-  std::atomic<std::uint64_t> pool_denials{0};
-  std::atomic<std::uint64_t> pool_capacity_bytes{0};
-  std::atomic<std::uint64_t> pool_used_bytes{0};
-  std::atomic<std::uint64_t> pool_estimate_bytes{0};
-  std::atomic<std::uint64_t> restarts{0};
-  std::atomic<std::uint64_t> esc_blocks{0};
-  std::atomic<std::uint64_t> esc_iterations{0};
-  std::array<std::atomic<std::uint64_t>, kEscHistBuckets> esc_iteration_hist{};
-  std::atomic<std::uint64_t> chunks_written{0};
-  std::atomic<std::uint64_t> long_row_chunks{0};
-  std::array<std::atomic<std::uint64_t>, 3> merge_case_rows{};
-  std::atomic<std::uint64_t> merge_windows{0};
-  std::atomic<std::uint64_t> blocks_executed{0};
-  std::atomic<std::uint64_t> block_time_ns_sum{0};
-  std::atomic<std::uint64_t> block_time_ns_max{0};
-
-  /// Add one run's record: sums add, gauges raise.
-  void add(const CountersSnapshot& run);
-
-  /// Raise a maximum gauge to at least `value`.
-  static void raise(std::atomic<std::uint64_t>& gauge, std::uint64_t value) {
-    // mo: CAS seed; a stale read just costs one extra loop round.
-    std::uint64_t cur = gauge.load(std::memory_order_relaxed);
-    while (cur < value) {
-      // mo: max-gauge CAS — its atomicity alone keeps the gauge monotone;
-      // mo: no other data is published through it.
-      if (gauge.compare_exchange_weak(cur, value, std::memory_order_relaxed))
-        break;
-    }
-  }
-
-  [[nodiscard]] CountersSnapshot snapshot() const;
-};
-
-/// Host time of one run's blocks, summed across the threads that run them.
-/// The pipeline folds it into the run's record (`blocks_executed`,
-/// `block_time_ns_sum/max`).
+/// Host time of one run's blocks, summed across the threads that run them:
+/// atomics, because block bodies add to it concurrently (`ns_max` is a max
+/// gauge raised by CAS). The pipeline folds it into the run's record
+/// (`blocks_executed`, `block_time_ns_sum/max`).
 struct BlockTimes {
   std::atomic<std::uint64_t> blocks{0};
   std::atomic<std::uint64_t> ns_sum{0};
@@ -189,17 +153,14 @@ class TraceSession {
     return detail_.load(std::memory_order_relaxed);  // mo: see set_detail
   }
 
-  [[nodiscard]] Counters& counters() { return counters_; }
-  [[nodiscard]] const Counters& counters() const { return counters_; }
-  [[nodiscard]] CountersSnapshot counters_snapshot() const {
-    return counters_.snapshot();
-  }
+  /// Add one finished run's record (`CountersSnapshot::operator+=`).
+  void add_counters(const CountersSnapshot& run) ACS_EXCLUDES(m_);
+  /// Copy of the counters of every run added so far.
+  [[nodiscard]] CountersSnapshot counters_snapshot() const ACS_EXCLUDES(m_);
 
   /// Copy of all spans recorded so far (closed or still open).
   [[nodiscard]] std::vector<SpanRecord> spans() const ACS_EXCLUDES(m_);
   [[nodiscard]] std::size_t span_count() const ACS_EXCLUDES(m_);
-  /// Seconds since the session was created.
-  [[nodiscard]] double elapsed_s() const;
 
  private:
   [[nodiscard]] double now_s() const {
@@ -215,8 +176,8 @@ class TraceSession {
 
   const std::chrono::steady_clock::time_point epoch_;
   std::atomic<bool> detail_{false};
-  Counters counters_;  ///< lock-free: relaxed atomics, no mutex needed
   mutable acs::Mutex m_;
+  CountersSnapshot counters_ ACS_GUARDED_BY(m_);
   std::vector<SpanRecord> spans_ ACS_GUARDED_BY(m_);
   std::unordered_map<std::thread::id, ThreadState> threads_ ACS_GUARDED_BY(m_);
 };

@@ -62,17 +62,13 @@ TuneFeatures extract_features(const Csr<T>& a, const Csr<T>& b,
   // sampling core of src/estimate, so the tuner and the memory planner can
   // never disagree about the sample. Each sample is weighted by the entries
   // of A its window actually covers (a partial final window is charged its
-  // true size); the conservative variant charges each window the larger of
-  // its two bounding samples, so locally heavy stretches of B rows are not
-  // diluted by the stride, and is ≥ the expected estimate by construction.
+  // true size).
   estimate::RowSample s =
       estimate::sample_b_row_lengths(a, b, sample_stride, min_samples);
   const estimate::ProductEstimate est = estimate::products_from_sample(s);
   f.stride = s.stride;
-  f.products_exact = s.exact;
   f.sampled = s.sampled;
   f.est_products = est.expected;
-  f.est_products_upper = est.conservative;
   f.sampled_b_lens = std::move(s.b_lens);  // already sorted ascending
   return f;
 }

@@ -41,14 +41,6 @@ struct TuneFeatures {
   /// sample (each sampled B-row length weighted by the entries of A its
   /// window covers, so a partial final window is charged its true size).
   double est_products = 0.0;
-  /// Conservative variant: each sample window charged the larger of its
-  /// two bounding samples (used for pool-safety margins, not ranking).
-  /// Always ≥ est_products, and clamped below the guaranteed upper bound
-  /// of src/estimate, where both estimates are computed.
-  double est_products_upper = 0.0;
-  /// True when every entry of A was inspected (stride 1 or nnz(A) small):
-  /// `est_products` is then exact.
-  bool products_exact = false;
 
   /// B-row lengths seen by the sample, sorted ascending. Lets the ranking
   /// evaluate any long-row threshold without another pass: the products

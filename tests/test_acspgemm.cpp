@@ -189,9 +189,6 @@ TEST(AcSpgemm, BadConfigThrows) {
   Config cfg3;
   cfg3.elements_per_thread = 200;  // blows the 15-bit compaction counters
   EXPECT_THROW(multiply(m, m, cfg3), std::invalid_argument);
-  Config cfg4;
-  cfg4.pool_growth_factor = 1.0;  // would never grow on restart
-  EXPECT_THROW(multiply(m, m, cfg4), std::invalid_argument);
 }
 
 TEST(AcSpgemm, SmallBlocksForceRowSplitsAndMerges) {
@@ -251,7 +248,7 @@ TEST(AcSpgemm, TinyPoolForcesRestartsButStaysCorrect) {
 TEST(AcSpgemm, GeometricGrowthConvergesFromHundredfoldUnderestimate) {
   // Regression (ISSUE 3 satellite): restart growth used to add a flat
   // initial-size step per round, so a pool undersized by a factor F needed
-  // O(F) restarts. Doubling (capped by pool_growth_max_step_bytes) makes a
+  // O(F) restarts. Doubling (restart_growth_step, capped at 1 GiB) makes a
   // 100x under-estimate converge in O(log F) rounds — well under the ~7 the
   // issue allows — while staying bit-identical to the ample-pool run.
   const auto m = quantize(gen_uniform_random<double>(500, 500, 8.0, 3.0, 36));
@@ -267,15 +264,6 @@ TEST(AcSpgemm, GeometricGrowthConvergesFromHundredfoldUnderestimate) {
   EXPECT_LE(stats.restarts, 7);
   EXPECT_GE(stats.pool_bytes, stats.pool_used_bytes);
   EXPECT_TRUE(c.equals_exact(ref));
-
-  // The growth-step cap keeps each round bounded: with a tiny cap the same
-  // run still converges, just in more (linear) rounds.
-  Config capped = cfg;
-  capped.pool_growth_max_step_bytes = 64 << 10;
-  SpgemmStats capped_stats;
-  const auto cc = multiply(m, m, capped, &capped_stats);
-  EXPECT_GE(capped_stats.restarts, stats.restarts);
-  EXPECT_TRUE(cc.equals_exact(ref));
 }
 
 TEST(AcSpgemm, PoolEstimateRespectsLowerBound) {

@@ -291,8 +291,9 @@ TEST(FaultPipeline, DenialsSurfaceOnStatsWithoutTracing) {
   EXPECT_GE(stats.pool_denials, 1u);
   EXPECT_GE(stats.restarts, 1);
   const auto snapshot = to_metrics_snapshot(stats);
-  EXPECT_EQ(snapshot.pool_denials, stats.pool_denials);
-  EXPECT_EQ(snapshot.restarts, static_cast<std::uint64_t>(stats.restarts));
+  EXPECT_EQ(snapshot.counters.pool_denials, stats.pool_denials);
+  EXPECT_EQ(snapshot.counters.restarts,
+            static_cast<std::uint64_t>(stats.restarts));
 }
 
 }  // namespace

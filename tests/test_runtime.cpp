@@ -42,24 +42,23 @@ TEST(Fingerprint, IgnoresValuesTracksStructure) {
   const auto a = gen_uniform_random<double>(200, 200, 6.0, 2.0, 7);
   auto scaled = a;
   for (auto& v : scaled.values) v *= 3.0;
-  EXPECT_EQ(fingerprint(a, a), fingerprint(scaled, scaled));
+  constexpr auto kArch = arch::ArchId::kSimTitanXp;
+  EXPECT_EQ(fingerprint(a, a, kArch), fingerprint(scaled, scaled, kArch));
 
   const auto other = gen_uniform_random<double>(200, 200, 6.0, 2.0, 8);
-  EXPECT_FALSE(fingerprint(a, a) == fingerprint(other, other));
+  EXPECT_FALSE(fingerprint(a, a, kArch) == fingerprint(other, other, kArch));
 }
 
 TEST(Fingerprint, DistinguishesBOperandShape) {
   const auto a = gen_uniform_random<double>(100, 100, 4.0, 1.0, 9);
   const auto b1 = gen_uniform_random<double>(100, 80, 4.0, 1.0, 10);
   const auto b2 = gen_uniform_random<double>(100, 120, 4.0, 1.0, 10);
-  EXPECT_FALSE(fingerprint(a, b1) == fingerprint(a, b2));
+  constexpr auto kArch = arch::ArchId::kSimTitanXp;
+  EXPECT_FALSE(fingerprint(a, b1, kArch) == fingerprint(a, b2, kArch));
 }
 
 TEST(Fingerprint, ArchFieldSeparatesBackends) {
   const auto a = gen_uniform_random<double>(100, 100, 4.0, 1.0, 11);
-  // The 2-arg overload pins the default backend — pre-arch fingerprints
-  // stay byte-for-byte reproducible.
-  EXPECT_EQ(fingerprint(a, a), fingerprint(a, a, arch::ArchId::kSimTitanXp));
   // Same structure on a different backend is a different key (a plan's
   // learned pool size is arch-specific).
   const Fingerprint titan = fingerprint(a, a, arch::ArchId::kSimTitanXp);
@@ -227,6 +226,44 @@ TEST(MultiplyPlanned, MismatchedPlanIsRebuiltNotMisused) {
   EXPECT_EQ(plan.nnz_per_block, 128);
 }
 
+TEST(MultiplyPlanned, ForeignLoadBalanceTableIsRebuilt) {
+  // Two 4x4 A's with the same nnz and shape but different row pointers:
+  // a plan learned on the first (entries in rows 2-3) must not hand its
+  // blocks' start rows to the second (entries in rows 0-1). Fingerprints
+  // hash the row pointer, so only a hash collision brings such a plan
+  // here; the table check must catch it anyway.
+  const auto matrix = [](std::vector<index_t> row_ptr) {
+    Csr<double> m;
+    m.rows = 4;
+    m.cols = 4;
+    m.row_ptr = std::move(row_ptr);
+    m.col_idx = {0, 1, 2, 3};
+    m.values = {1.0, 2.0, 3.0, 4.0};
+    return m;
+  };
+  const Csr<double> learned_on = matrix({0, 0, 0, 2, 4});
+  const Csr<double> a = matrix({0, 2, 4, 4, 4});
+  Csr<double> b = matrix({0, 1, 2, 3, 4});  // diagonal
+  b.values = {1.0, 1.0, 1.0, 1.0};
+  Config cfg;
+  cfg.nnz_per_block = 2;
+
+  SpgemmPlan plan;
+  multiply_planned(learned_on, b, cfg, plan);
+  ASSERT_EQ(plan.block_row_starts, (std::vector<index_t>{2, 3}));
+
+  SpgemmStats s;
+  const auto c = multiply_planned(a, b, cfg, plan, &s);
+  EXPECT_FALSE(s.glb_reused);
+  EXPECT_TRUE(c.equals_exact(multiply(a, b, cfg)));
+  EXPECT_EQ(plan.block_row_starts, (std::vector<index_t>{0, 1}));
+
+  // The rebuilt table is the second A's own, so it is reused from now on.
+  SpgemmStats warm;
+  EXPECT_TRUE(multiply_planned(a, b, cfg, plan, &warm).equals_exact(c));
+  EXPECT_TRUE(warm.glb_reused);
+}
+
 TEST(MultiplyPlanned, ExternalWarmSchedulerBitIdentical) {
   const auto m = gen_powerlaw<double>(400, 400, 6.0, 1.6, 150, 71);
   Config cfg;
@@ -354,22 +391,26 @@ TEST(Engine, MetricsAggregateAcrossWorkers) {
 
   EXPECT_EQ(m.jobs, pairs.size());
   double sim = 0.0, per_job_stage = 0.0;
-  std::uint64_t chunks = 0;
+  std::uint64_t chunks = 0, esc_iterations = 0;
   for (const auto& r : results) {
     ASSERT_FALSE(r.failed());
     sim += r.stats.sim_time_s;
     chunks += r.stats.chunks_created;
+    esc_iterations += r.stats.esc_iterations;
     const trace::MetricsSnapshot job = to_metrics_snapshot(r.stats);
     for (double t : job.stage_sim_time_s) per_job_stage += t;
     EXPECT_EQ(job.jobs, 1u);
   }
   EXPECT_NEAR(m.sim_time_s, sim, 1e-12);
-  EXPECT_EQ(m.chunks_created, chunks);
+  // The untraced engine's counter record carries what SpgemmStats keeps.
+  EXPECT_EQ(m.counters.chunks_written, chunks);
+  EXPECT_GT(esc_iterations, 0u);
+  EXPECT_EQ(m.counters.esc_iterations, esc_iterations);
   double rolled_stage = 0.0;
   for (double t : m.stage_sim_time_s) rolled_stage += t;
   EXPECT_NEAR(rolled_stage, per_job_stage, 1e-12);
   EXPECT_NEAR(rolled_stage, sim, 1e-12);  // stages partition the sim time
-  EXPECT_GT(m.pool_bytes, 0u);
+  EXPECT_GT(m.counters.pool_capacity_bytes, 0u);
 }
 
 TEST(Engine, CollectJobTracesAttachesSessionPerJob) {
@@ -430,8 +471,8 @@ TEST(Engine, PerJobFaultInjectionKeepsResultsBitIdentical) {
   }
   EXPECT_EQ(engine.stats().jobs_failed, 0u);
   // Injected exhaustion is visible on the aggregated metrics.
-  EXPECT_GT(engine.metrics().restarts, 0u);
-  EXPECT_GT(engine.metrics().pool_denials, 0u);
+  EXPECT_GT(engine.metrics().counters.restarts, 0u);
+  EXPECT_GT(engine.metrics().counters.pool_denials, 0u);
 }
 
 TEST(Engine, FailedJobRethrowsAndEngineKeepsWorking) {

@@ -81,7 +81,7 @@ TEST(TraceSession, ThreadsKeepIndependentParentStacks) {
         CountersSnapshot run;
         run.esc_iterations = 1;
         run.pool_used_bytes = static_cast<std::uint64_t>(i);
-        s.counters().add(run);
+        s.add_counters(run);
       }
       ScopedSpan inner(&s, "inner");
     });
@@ -116,9 +116,9 @@ TEST(Counters, EscHistogramBucketsAndSnapshotSum) {
     run.esc_iterations += iterations;
     ++run.esc_iteration_hist[esc_hist_bucket(iterations)];
   }
-  Counters c;
-  c.add(run);
-  const CountersSnapshot s = c.snapshot();
+  TraceSession session;
+  session.add_counters(run);
+  const CountersSnapshot s = session.counters_snapshot();
   EXPECT_EQ(s.esc_blocks, 5u);
   EXPECT_EQ(s.esc_iterations, 62u);
   EXPECT_EQ(s.esc_iteration_hist[1], 1u);
@@ -148,7 +148,7 @@ TraceSession& golden_session() {
     run.esc_blocks = 1;
     run.esc_iterations = 3;
     run.esc_iteration_hist[esc_hist_bucket(3)] = 1;
-    t->counters().add(run);
+    t->add_counters(run);
     return t;
   }();
   return *s;
@@ -171,29 +171,6 @@ TEST(Exporters, ChromeJsonGolden) {
       "\"ts\": 250000.000, \"dur\": 500000.000, \"args\": {\"sim_s\": 0.5}}\n"
       "]}\n";
   EXPECT_EQ(to_chrome_json(golden_session(), o), expected);
-}
-
-TEST(Exporters, FlatJsonGolden) {
-  ExportOptions o;
-  o.include_wall = false;
-  const std::string expected =
-      "{\n"
-      "  \"spans\": {\"multiply\": {\"count\": 1, \"sim_s\": 0}, "
-      "\"GLB\": {\"count\": 1, \"sim_s\": 0.25}, "
-      "\"ESC\": {\"count\": 1, \"sim_s\": 0.5}},\n"
-      "  \"stage_sim_s\": {\"GLB\": 0.25, \"ESC\": 0.5, \"MCC\": 0, "
-      "\"MM\": 0, \"PM\": 0, \"SM\": 0, \"CC\": 0},\n"
-      "  \"counters\": {\"pool_alloc_bytes\": 0, \"pool_denials\": 0, "
-      "\"pool_capacity_bytes\": 0, \"pool_used_bytes\": 0, "
-      "\"pool_estimate_bytes\": 0, \"restarts\": 2, "
-      "\"esc_blocks\": 1, \"esc_iterations\": 3, "
-      "\"esc_iteration_hist\": [0, 0, 0, 1, 0, 0, 0, 0], "
-      "\"chunks_written\": 0, \"long_row_chunks\": 0, "
-      "\"merge_case_rows\": {\"multi\": 0, \"path\": 0, \"search\": 0}, "
-      "\"merge_windows\": 0, \"blocks_executed\": 0, "
-      "\"block_time_ns_sum\": 0, \"block_time_ns_max\": 0}\n"
-      "}\n";
-  EXPECT_EQ(to_flat_json(golden_session(), o), expected);
 }
 
 TEST(Exporters, TableListsSpansAndCounters) {
@@ -231,18 +208,19 @@ TEST(Metrics, SnapshotAggregationSumsCountsAndMaxesGauges) {
   MetricsSnapshot a;
   a.jobs = 1;
   a.sim_time_s = 1.0;
-  a.restarts = 2;
-  a.pool_bytes = 100;
+  a.counters.restarts = 2;
+  a.counters.pool_capacity_bytes = 100;
   MetricsSnapshot b;
   b.jobs = 2;
   b.sim_time_s = 0.5;
-  b.restarts = 1;
-  b.pool_bytes = 60;
+  b.counters.restarts = 1;
+  b.counters.pool_capacity_bytes = 60;
   a += b;
   EXPECT_EQ(a.jobs, 3u);
   EXPECT_DOUBLE_EQ(a.sim_time_s, 1.5);
-  EXPECT_EQ(a.restarts, 3u);
-  EXPECT_EQ(a.pool_bytes, 100u);  // high-water gauge, not summed
+  EXPECT_EQ(a.counters.restarts, 3u);
+  // High-water gauge, not summed.
+  EXPECT_EQ(a.counters.pool_capacity_bytes, 100u);
 }
 
 TEST(Metrics, StageIndexMatchesCanonicalOrder) {
@@ -428,8 +406,9 @@ TEST(PipelineTracing, SpgemmStatsConvertToMetricsSnapshot) {
   const trace::MetricsSnapshot m = to_metrics_snapshot(stats);
   EXPECT_EQ(m.jobs, 1u);
   EXPECT_DOUBLE_EQ(m.sim_time_s, stats.sim_time_s);
-  EXPECT_EQ(m.chunks_created, stats.chunks_created);
-  EXPECT_EQ(m.pool_bytes, stats.pool_bytes);
+  EXPECT_EQ(m.counters.chunks_written, stats.chunks_created);
+  EXPECT_EQ(m.counters.esc_iterations, stats.esc_iterations);
+  EXPECT_EQ(m.counters.pool_capacity_bytes, stats.pool_bytes);
   double stage_sum = 0.0;
   for (double t : m.stage_sim_time_s) stage_sum += t;
   EXPECT_NEAR(stage_sum, stats.sim_time_s, 1e-12);

@@ -176,12 +176,12 @@ TEST(Tune, FeedbackRestartsMonotonicallyNonIncreasing) {
 
   std::uint64_t prev = 0;
   for (int pass = 0; pass < 4; ++pass) {
-    const std::uint64_t before = engine.metrics().restarts;
+    const std::uint64_t before = engine.metrics().counters.restarts;
     const auto results = engine.multiply_batch(pairs, cfg);
     for (const auto& r : results) {
       ASSERT_FALSE(r.failed());
     }
-    const std::uint64_t this_pass = engine.metrics().restarts - before;
+    const std::uint64_t this_pass = engine.metrics().counters.restarts - before;
     if (pass > 0) {
       EXPECT_LE(this_pass, prev) << "pass " << pass;
     }
