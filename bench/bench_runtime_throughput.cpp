@@ -6,12 +6,14 @@
 ///    with the identical sparsity structure (values differ per job). This
 ///    is where the plan cache + pool arena pay: warm runs skip global load
 ///    balancing, start from the learned pool size (zero restarts) and reuse
-///    recycled pool capacity.
+///    recycled pool regions.
 ///  * mixed-pattern: four structural regimes interleaved, stressing LRU
 ///    behaviour and per-pattern convergence.
 /// The pool is deliberately under-provisioned (tight estimate) so the cold
 /// runs pay the paper's restart protocol and the warm runs demonstrate the
-/// feedback loop. A native lane then replays the mixed workload on
+/// feedback loop. After the cold batch, five slices each run the naive
+/// loop and the warm engine, alternating which goes first; the
+/// repeated-pattern gate reads the median slice's speedup. A native lane then replays the mixed workload on
 /// NativeCpu (docs/BACKENDS.md) and gates its wall time against the lean
 /// sequential floor, `spa_multiply`: both backends run the same kernels,
 /// so what sets NativeCpu apart is how close to the floor they run.
@@ -131,9 +133,19 @@ void emit(std::ostream& os, const acs::BatchBenchResult& r, bool last) {
   os << "}}" << (last ? "\n" : ",\n");
 }
 
-struct BatchReport {
-  acs::BatchBenchResult naive, cold, warm;
+/// Slices of the warm-speedup gate. Each slice runs the naive loop and the
+/// warm engine over the whole batch, alternating which goes first, and
+/// the gate reads the median slice's ratio: one slow sample on a shared
+/// host cannot decide it.
+constexpr int kSpeedupSlices = 5;
 
+struct BatchReport {
+  /// The naive loop and warm engine batches of the median slice.
+  acs::BatchBenchResult naive, cold, warm;
+  std::vector<double> speedups;  ///< warm jobs/s over naive jobs/s, per slice
+  std::size_t warm_restarts = 0;  ///< summed over every slice's warm batch
+
+  /// The median slice's ratio.
   [[nodiscard]] double warm_speedup() const {
     return naive.jobs_per_s > 0.0 ? warm.jobs_per_s / naive.jobs_per_s : 0.0;
   }
@@ -142,13 +154,31 @@ struct BatchReport {
 BatchReport run_workload(const std::vector<Pair>& pairs, unsigned workers) {
   const acs::Config cfg = bench_config();
   BatchReport rep;
-  rep.naive = acs::run_naive_batch(pairs, cfg, "naive");
-
   acs::runtime::EngineConfig ec;
   ec.workers = workers;
   acs::runtime::Engine<double> engine(ec);
   rep.cold = acs::run_engine_batch(engine, pairs, cfg, "engine_cold");
-  rep.warm = acs::run_engine_batch(engine, pairs, cfg, "engine_warm");
+
+  std::vector<std::pair<acs::BatchBenchResult, acs::BatchBenchResult>> slices;
+  for (int slice = 0; slice < kSpeedupSlices; ++slice) {
+    acs::BatchBenchResult naive, warm;
+    const bool naive_first = slice % 2 == 0;
+    if (naive_first) naive = acs::run_naive_batch(pairs, cfg, "naive");
+    warm = acs::run_engine_batch(engine, pairs, cfg, "engine_warm");
+    if (!naive_first) naive = acs::run_naive_batch(pairs, cfg, "naive");
+    rep.warm_restarts += warm.restarts;
+    rep.speedups.push_back(
+        naive.jobs_per_s > 0.0 ? warm.jobs_per_s / naive.jobs_per_s : 0.0);
+    slices.emplace_back(std::move(naive), std::move(warm));
+  }
+  std::vector<std::size_t> order(slices.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+    return rep.speedups[x] < rep.speedups[y];
+  });
+  const std::size_t median = order[order.size() / 2];
+  rep.naive = std::move(slices[median].first);
+  rep.warm = std::move(slices[median].second);
   return rep;
 }
 
@@ -158,7 +188,10 @@ void emit_workload(std::ostream& os, const std::string& name,
   emit(os, rep.naive, false);
   emit(os, rep.cold, false);
   emit(os, rep.warm, false);
-  os << "    \"warm_speedup_vs_naive\": " << rep.warm_speedup() << "\n"
+  os << "    \"warm_speedup_slices\": [";
+  for (std::size_t i = 0; i < rep.speedups.size(); ++i)
+    os << (i ? ", " : "") << rep.speedups[i];
+  os << "],\n    \"warm_speedup_vs_naive\": " << rep.warm_speedup() << "\n"
      << "  }" << (last ? "\n" : ",\n");
 }
 
@@ -411,13 +444,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The PR's acceptance criteria, checked where the numbers are produced:
-  // warm engine >= 1.5x naive jobs/s with zero restarts after warm-up, and
-  // the native lane's floor gate.
+  // The acceptance criteria, checked where the numbers are produced: warm
+  // engine >= 1.5x naive jobs/s (median of the interleaved slices) with
+  // zero restarts after warm-up, and the native lane's floor gate.
   const bool ok =
-      repeated.warm_speedup() >= 1.5 && repeated.warm.restarts == 0;
-  std::cerr << "repeated-pattern warm speedup: " << repeated.warm_speedup()
-            << "x, warm restarts: " << repeated.warm.restarts
+      repeated.warm_speedup() >= 1.5 && repeated.warm_restarts == 0;
+  std::cerr << "repeated-pattern warm speedup (median of " << kSpeedupSlices
+            << "): " << repeated.warm_speedup() << "x (slices";
+  for (const double r : repeated.speedups) std::cerr << ' ' << r;
+  std::cerr << "), warm restarts: " << repeated.warm_restarts
             << (ok ? "  [ok]" : "  [BELOW TARGET]") << "\n";
   const int native_rc = gate_native(native);
   return ok && native_rc == 0 ? 0 : 1;

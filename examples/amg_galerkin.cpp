@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   std::cout << "plan-cache hit rate: " << 100.0 * plans.hit_rate() << "% ("
             << plans.hits << " hits / " << plans.hits + plans.misses
             << " products; passes after the first reuse every plan)\n";
-  std::cout << "pool capacity recycled across jobs: " << arena.reused_bytes
+  std::cout << "pool regions recycled across jobs: " << arena.reused_bytes
             << " bytes (" << arena.fresh_bytes << " freshly allocated)\n";
 
   // Sanity: the coarsest operator must still be a valid CSR matrix.

@@ -65,7 +65,7 @@ class Pipeline {
  public:
   Pipeline(const Csr<T>& a, const Csr<T>& b, const Config& cfg,
            SpgemmPlan& plan, SpgemmStats& stats,
-           sim::BlockScheduler* scheduler)
+           sim::BlockScheduler* scheduler, RegionSource* regions)
       : a_(a),
         b_(b),
         cfg_(cfg),
@@ -76,7 +76,7 @@ class Pipeline {
         own_scheduler_(scheduler ? 1 : cfg.scheduler_threads),
         scheduler_(scheduler ? *scheduler : own_scheduler_),
         initial_pool_(validated_pool_bytes(a, b, cfg, plan)),
-        pool_(initial_pool_) {
+        pool_(initial_pool_, regions) {
     // Fault-injection hook (core/chunk.hpp): denials look exactly like pool
     // exhaustion, so they exercise the restart protocol on demand.
     pool_.set_policy(cfg.alloc_policy);
@@ -250,38 +250,39 @@ class Pipeline {
     }
   }
 
-  // --- Build per-row segment lists and row counters from the chunks. -------
+  // --- Index the ESC chunks' rows in one flat segment table. ---------------
   void register_segments() {
     // Deterministic global chunk order (block id, per-block counter); the
     // paper sorts the scheduler-ordered lists by this key before merging.
-    std::sort(chunks_.begin(), chunks_.end(),
-              [](const Chunk<T>& x, const Chunk<T>& y) { return x.order < y.order; });
+    // The first launch appends blocks in id order, so only a restart
+    // leaves anything to sort.
+    const auto by_order = [](const Chunk<T>& x, const Chunk<T>& y) {
+      return x.order < y.order;
+    };
+    if (!std::is_sorted(chunks_.begin(), chunks_.end(), by_order))
+      std::sort(chunks_.begin(), chunks_.end(), by_order);
+    esc_chunks_ = chunks_.size();
+    esc_segments_.build(std::span<const Chunk<T>>(chunks_), 0, a_.rows);
+  }
 
-    segments_.assign(static_cast<std::size_t>(a_.rows), {});
-    row_nnz_.assign(static_cast<std::size_t>(a_.rows), 0);
-    for (std::size_t ci = 0; ci < chunks_.size(); ++ci) {
-      const Chunk<T>& chunk = chunks_[ci];
-      if (chunk.is_long_row) {
-        segments_[static_cast<std::size_t>(chunk.rows[0])].push_back(
-            {ci, 0, chunk.long_len, chunk.order});
-        row_nnz_[static_cast<std::size_t>(chunk.rows[0])] += chunk.long_len;
-        continue;
-      }
-      for (std::size_t r = 0; r < chunk.rows.size(); ++r) {
-        const index_t len = chunk.row_offsets[r + 1] - chunk.row_offsets[r];
-        segments_[static_cast<std::size_t>(chunk.rows[r])].push_back(
-            {ci, chunk.row_offsets[r], len, chunk.order});
-        row_nnz_[static_cast<std::size_t>(chunk.rows[r])] += len;
-      }
-    }
+  /// A row's segments for the chunk copy: the merge's windows if it
+  /// rewrote the row, else the ESC chunks'.
+  [[nodiscard]] std::span<const RowSegment> row_segments(index_t r) const {
+    const std::span<const RowSegment> merged = merged_segments_.of(r);
+    return merged.empty() ? esc_segments_.of(r) : merged;
+  }
+
+  static offset_t segment_entries(std::span<const RowSegment> segs) {
+    offset_t total = 0;
+    for (const RowSegment& seg : segs) total += seg.length;
+    return total;
   }
 
   // --- Stage 3: merge assignment + Multi/Path/Search merge. ----------------
   void merge_stage() {
     std::vector<index_t> shared_rows;
     for (index_t r = 0; r < a_.rows; ++r)
-      if (segments_[static_cast<std::size_t>(r)].size() >= 2)
-        shared_rows.push_back(r);
+      if (esc_segments_.of(r).size() >= 2) shared_rows.push_back(r);
     stats_.merged_rows = shared_rows.size();
 
     // Merge-case assignment (Fig. 7's "MCC"): one prefix scan over the
@@ -303,41 +304,53 @@ class Pipeline {
       }
     }
 
+    // Each kind's rows in one list; a batch is a slice of it. Multi Merge
+    // packs consecutive two-segment rows up to the block's capacity, so its
+    // batches start at `multi_starts`; Path and Search take one row each.
     const auto capacity = static_cast<offset_t>(cfg_.temp_capacity());
-    std::vector<MergeBatch> multi, path, search;
-    MergeBatch current;
+    std::vector<index_t> multi_rows, path_rows, search_rows;
+    std::vector<std::size_t> multi_starts;
     offset_t current_total = 0;
-    auto flush_multi = [&] {
-      if (!current.rows.empty()) {
-        multi.push_back(std::move(current));
-        current = {};
-        current_total = 0;
-      }
-    };
     for (index_t row : shared_rows) {
-      auto& segs = segments_[static_cast<std::size_t>(row)];
-      const offset_t total = row_nnz_[static_cast<std::size_t>(row)];
+      const std::span<const RowSegment> segs = esc_segments_.of(row);
+      const offset_t total = segment_entries(segs);
       if (segs.size() == 2 && total <= capacity) {
-        if (current_total + total > capacity) flush_multi();
-        current.rows.push_back(row);
-        current.segments.push_back(segs);
+        if (multi_rows.empty() || current_total + total > capacity) {
+          multi_starts.push_back(multi_rows.size());
+          current_total = 0;
+        }
+        multi_rows.push_back(row);
         current_total += total;
       } else if (segs.size() <=
                  static_cast<std::size_t>(cfg_.path_merge_max_chunks)) {
-        path.push_back({{row}, {segs}});
+        path_rows.push_back(row);
       } else {
-        search.push_back({{row}, {segs}});
+        search_rows.push_back(row);
       }
     }
-    flush_multi();
-    // Every shared row not sent to Path or Search Merge is Multi Merged.
-    tallies_.merge_case_rows = {
-        shared_rows.size() - path.size() - search.size(), path.size(),
-        search.size()};
+    tallies_.merge_case_rows = {multi_rows.size(), path_rows.size(),
+                                search_rows.size()};
 
-    run_merge_kind("MM", MergeKind::Multi, multi);
-    run_merge_kind("PM", MergeKind::Path, path);
-    run_merge_kind("SM", MergeKind::Search, search);
+    std::vector<MergeBatch> batches(multi_starts.size());
+    for (std::size_t i = 0; i < batches.size(); ++i) {
+      const std::size_t end =
+          i + 1 < multi_starts.size() ? multi_starts[i + 1] : multi_rows.size();
+      batches[i].rows = std::span<const index_t>(multi_rows)
+                            .subspan(multi_starts[i], end - multi_starts[i]);
+    }
+    run_merge_kind("MM", MergeKind::Multi, batches);
+    run_merge_kind("PM", MergeKind::Path, single_row_batches(path_rows));
+    run_merge_kind("SM", MergeKind::Search, single_row_batches(search_rows));
+    merged_segments_.build(std::span<const Chunk<T>>(chunks_), esc_chunks_,
+                           a_.rows);
+  }
+
+  static std::vector<MergeBatch> single_row_batches(
+      const std::vector<index_t>& rows) {
+    std::vector<MergeBatch> batches(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      batches[i].rows = std::span<const index_t>(rows).subspan(i, 1);
+    return batches;
   }
 
   void run_merge_kind(const char* stage, MergeKind kind,
@@ -359,12 +372,13 @@ class Pipeline {
 
     while (!pending.empty()) {
       std::vector<MergeOutcome<T>> results(pending.size());
+      const std::span<const Chunk<T>> chunks(chunks_);
       scheduler_.for_each_block(pending.size(), [&](std::size_t i) {
         trace::BlockTimer timer(timed_blocks_);
         const std::size_t t = pending[i];
         results[i] = run_merge_block<T>(
-            batches[t], chunks_, b_, cfg_, pool_, kind, windows_done[t],
-            order_base + static_cast<std::uint32_t>(t));
+            batches[t], esc_segments_, chunks, b_, cfg_, pool_, kind,
+            windows_done[t], order_base + static_cast<std::uint32_t>(t));
       });
 
       std::vector<sim::MetricCounters> launch_metrics;
@@ -373,29 +387,11 @@ class Pipeline {
         const std::size_t t = pending[i];
         launch_metrics.push_back(results[i].metrics);
         tallies_.merge_windows += results[i].chunks.size();
-        // Append the new chunks and retarget the merged rows' segments.
-        std::vector<std::size_t> new_ids;
-        for (auto& chunk : results[i].chunks) {
-          new_ids.push_back(chunks_.size());
-          chunks_.push_back(std::move(chunk));
-        }
-        if (windows_done[t] == 0 && !new_ids.empty()) {
-          // First successful windows of this task: clear old segments.
-          for (index_t row : batches[t].rows) {
-            segments_[static_cast<std::size_t>(row)].clear();
-            row_nnz_[static_cast<std::size_t>(row)] = 0;
-          }
-        }
-        for (std::size_t ci : new_ids) {
-          const Chunk<T>& chunk = chunks_[ci];
-          for (std::size_t r = 0; r < chunk.rows.size(); ++r) {
-            const index_t len =
-                chunk.row_offsets[r + 1] - chunk.row_offsets[r];
-            segments_[static_cast<std::size_t>(chunk.rows[r])].push_back(
-                {ci, chunk.row_offsets[r], len, chunk.order});
-            row_nnz_[static_cast<std::size_t>(chunk.rows[r])] += len;
-          }
-        }
+        // A task's windows arrive in order across relaunches, and no two
+        // tasks share a row, so appending keeps each merged row's windows
+        // in order for the merged segment table.
+        chunks_.insert(chunks_.end(), results[i].chunks.begin(),
+                       results[i].chunks.end());
         windows_done[t] = results[i].windows_done;
         if (results[i].needs_restart) failed.push_back(t);
       }
@@ -414,7 +410,7 @@ class Pipeline {
     c.row_ptr.assign(static_cast<std::size_t>(a_.rows) + 1, 0);
     offset_t total = 0;
     for (index_t r = 0; r < a_.rows; ++r) {
-      total += row_nnz_[static_cast<std::size_t>(r)];
+      total += segment_entries(row_segments(r));
       c.row_ptr[static_cast<std::size_t>(r) + 1] = static_cast<index_t>(total);
     }
     if (total > std::numeric_limits<index_t>::max())
@@ -465,8 +461,7 @@ class Pipeline {
     // block of threads to copy data in a coalesced fashion").
     std::vector<bool> chunk_live(chunks_.size(), false);
     for (index_t r = 0; r < a_.rows; ++r)
-      for (const RowSegment& seg : segments_[usize(r)])
-        chunk_live[seg.chunk] = true;
+      for (const RowSegment& seg : row_segments(r)) chunk_live[seg.chunk] = true;
     const auto live_chunks = static_cast<std::size_t>(
         std::count(chunk_live.begin(), chunk_live.end(), true));
     span.add_sim_time(record_stage(
@@ -480,7 +475,7 @@ class Pipeline {
                  sim::MetricCounters& m) const {
     for (index_t r = lo; r < hi; ++r) {
       index_t out = c.row_ptr[usize(r)];
-      for (const RowSegment& seg : segments_[usize(r)]) {
+      for (const RowSegment& seg : row_segments(r)) {
         const Chunk<T>& chunk = chunks_[seg.chunk];
         if (chunk.is_long_row) {
           // Unshared long row: materialize factor × row of B directly.
@@ -498,9 +493,9 @@ class Pipeline {
         } else {
           const auto sb = static_cast<std::size_t>(seg.begin);
           const auto sl = static_cast<std::size_t>(seg.length);
-          std::copy_n(chunk.cols.begin() + static_cast<std::ptrdiff_t>(sb), sl,
+          std::copy_n(chunk.cols.data() + sb, sl,
                       c.col_idx.begin() + static_cast<std::ptrdiff_t>(out));
-          std::copy_n(chunk.vals.begin() + static_cast<std::ptrdiff_t>(sb), sl,
+          std::copy_n(chunk.vals.data() + sb, sl,
                       c.values.begin() + static_cast<std::ptrdiff_t>(out));
           m.global_bytes_coalesced +=
               2 * static_cast<std::uint64_t>(seg.length) *
@@ -557,14 +552,20 @@ class Pipeline {
   sim::BlockScheduler own_scheduler_;
   sim::BlockScheduler& scheduler_;
   std::size_t initial_pool_;
+  /// Owns the storage every chunk views; declared before `chunks_`, so the
+  /// headers go first and the regions are returned last.
   ChunkPool pool_;
 
   std::size_t num_blocks_ = 0;
   std::vector<index_t> block_row_starts_;
   std::vector<BlockState<T>> block_states_;
+  /// ESC chunks in ChunkOrder (the first `esc_chunks_`), then the merge's
+  /// window chunks.
   std::vector<Chunk<T>> chunks_;
-  std::vector<std::vector<RowSegment>> segments_;
-  std::vector<offset_t> row_nnz_;
+  std::size_t esc_chunks_ = 0;
+  SegmentTable esc_segments_;
+  /// Segments of the rows the merge rewrote; empty for every other row.
+  SegmentTable merged_segments_;
   /// Counts the trace record adds to what SpgemmStats keeps: ESC block
   /// executions and their iteration histogram, rows per merge case and
   /// merge windows.
@@ -610,12 +611,13 @@ std::size_t estimate_chunk_pool_bytes(const Csr<T>& a, const Csr<T>& b,
 template <class T>
 Csr<T> multiply_planned(const Csr<T>& a, const Csr<T>& b, const Config& cfg,
                         SpgemmPlan& plan, SpgemmStats* stats,
-                        sim::BlockScheduler* scheduler) {
+                        sim::BlockScheduler* scheduler,
+                        RegionSource* regions) {
   SpgemmStats local;
   SpgemmStats& s = stats ? *stats : local;
   s = SpgemmStats{};
   const auto t0 = std::chrono::steady_clock::now();
-  Csr<T> c = Pipeline<T>(a, b, cfg, plan, s, scheduler).run();
+  Csr<T> c = Pipeline<T>(a, b, cfg, plan, s, scheduler, regions).run();
   s.wall_time_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -626,7 +628,7 @@ template <class T>
 Csr<T> multiply(const Csr<T>& a, const Csr<T>& b, const Config& cfg,
                 SpgemmStats* stats) {
   SpgemmPlan plan;
-  return multiply_planned(a, b, cfg, plan, stats, nullptr);
+  return multiply_planned(a, b, cfg, plan, stats, nullptr, nullptr);
 }
 
 template Csr<float> multiply(const Csr<float>&, const Csr<float>&,
@@ -635,10 +637,10 @@ template Csr<double> multiply(const Csr<double>&, const Csr<double>&,
                               const Config&, SpgemmStats*);
 template Csr<float> multiply_planned(const Csr<float>&, const Csr<float>&,
                                      const Config&, SpgemmPlan&, SpgemmStats*,
-                                     sim::BlockScheduler*);
+                                     sim::BlockScheduler*, RegionSource*);
 template Csr<double> multiply_planned(const Csr<double>&, const Csr<double>&,
                                       const Config&, SpgemmPlan&, SpgemmStats*,
-                                      sim::BlockScheduler*);
+                                      sim::BlockScheduler*, RegionSource*);
 template std::size_t estimate_chunk_pool_bytes(const Csr<float>&,
                                                const Csr<float>&,
                                                const Config&);

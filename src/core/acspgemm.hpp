@@ -19,6 +19,7 @@
 ///   std::cout << stats.gflops() << " simulated GFLOPS\n";
 /// \endcode
 
+#include "core/chunk.hpp"
 #include "core/config.hpp"
 #include "core/plan.hpp"
 #include "matrix/csr.hpp"
@@ -47,10 +48,15 @@ Csr<T> multiply(const Csr<T>& a, const Csr<T>& b, const Config& cfg = {},
 /// instead of a per-call scheduler, letting callers (the runtime Engine)
 /// keep one warm thread pool across many multiplications; it must outlive
 /// the call and not be shared with a concurrent multiplication.
+/// `regions`, when non-null, supplies the chunk pool's storage regions and
+/// gets every one back before the call returns (the Engine's arena
+/// recycles them across jobs); without it the call maps its own and
+/// unmaps them before returning.
 template <class T>
 Csr<T> multiply_planned(const Csr<T>& a, const Csr<T>& b, const Config& cfg,
                         SpgemmPlan& plan, SpgemmStats* stats = nullptr,
-                        sim::BlockScheduler* scheduler = nullptr);
+                        sim::BlockScheduler* scheduler = nullptr,
+                        RegionSource* regions = nullptr);
 
 /// The paper's simplistic chunk-pool estimate (Section 4): expected nnz of
 /// C under a uniform-row model, times (4 + sizeof(T)) bytes per element,
@@ -66,11 +72,13 @@ extern template Csr<double> multiply(const Csr<double>&, const Csr<double>&,
 extern template Csr<float> multiply_planned(const Csr<float>&,
                                             const Csr<float>&, const Config&,
                                             SpgemmPlan&, SpgemmStats*,
-                                            sim::BlockScheduler*);
+                                            sim::BlockScheduler*,
+                                            RegionSource*);
 extern template Csr<double> multiply_planned(const Csr<double>&,
                                              const Csr<double>&, const Config&,
                                              SpgemmPlan&, SpgemmStats*,
-                                             sim::BlockScheduler*);
+                                             sim::BlockScheduler*,
+                                             RegionSource*);
 extern template std::size_t estimate_chunk_pool_bytes(const Csr<float>&,
                                                       const Csr<float>&,
                                                       const Config&);

@@ -5,12 +5,16 @@
 /// produced by one block, plus the per-row boundaries needed for the final
 /// copy. Long rows of B are represented by pointer chunks that reference
 /// the row of B and carry the scaling factor from A (Section 3.4). The pool
-/// tracks allocation against a fixed capacity; exhaustion triggers the
-/// restart mechanism.
+/// charges each chunk against a capacity, whose exhaustion triggers the
+/// restart mechanism, and owns the storage regions the chunks are views of.
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <new>
+#include <span>
 #include <vector>
 
 #include "matrix/types.hpp"
@@ -67,16 +71,56 @@ struct ChunkOrder {
   }
 };
 
+/// Bytes of one chunk-pool storage region: far above the largest chunk a
+/// validated Config can write (under 1 MiB, core/invariants.hpp), so a
+/// region's dropped tail is small, and under glibc's 32 MiB ceiling for
+/// blocks its malloc may keep on the heap, so a freed region stays warm
+/// for the next call; EXPERIMENTS.md ("a real chunk pool") measures both.
+inline constexpr std::size_t kPoolRegionBytes = std::size_t{16} << 20;
+
+/// Alignment of every chunk placement in pool storage: the widest payload
+/// element (a double value).
+inline constexpr std::size_t kPlacementAlign = 8;
+
+/// Where one materialized chunk's payload sits inside its placement: the
+/// `row_count` row ids, the row_count + 1 row offsets and the column ids,
+/// then the values at their own alignment. The size rounds up to
+/// kPlacementAlign, so the next placement starts aligned. This is the
+/// charged layout (`Chunk::charged_bytes`) less the 32 B header, which
+/// lives in the `Chunk` object, plus the extra row offset and padding.
+template <class T>
+struct ChunkLayout {
+  std::size_t row_count = 0;
+  std::size_t entries = 0;
+
+  [[nodiscard]] constexpr std::size_t offsets_at() const {
+    return row_count * sizeof(index_t);
+  }
+  [[nodiscard]] constexpr std::size_t cols_at() const {
+    return offsets_at() + (row_count + 1) * sizeof(index_t);
+  }
+  [[nodiscard]] constexpr std::size_t vals_at() const {
+    return round_up(cols_at() + entries * sizeof(index_t), alignof(T));
+  }
+  [[nodiscard]] constexpr std::size_t bytes() const {
+    return round_up(vals_at() + entries * sizeof(T), kPlacementAlign);
+  }
+};
+
+/// A chunk: a fixed header of spans into chunk-pool storage, which the
+/// pool owns and frees (or recycles) when the multiplication ends.
 template <class T>
 struct Chunk {
   /// Global row ids covered, ascending. Only the first and last can be
-  /// shared with other chunks; interior rows are complete.
-  std::vector<index_t> rows;
+  /// shared with other chunks; interior rows are complete. A pointer chunk
+  /// covers one row.
+  std::span<const index_t> rows;
   /// Entry offsets per covered row: row i owns [row_offsets[i],
-  /// row_offsets[i+1]) of cols/vals. Size rows.size()+1.
-  std::vector<index_t> row_offsets;
-  std::vector<index_t> cols;
-  std::vector<T> vals;
+  /// row_offsets[i+1]) of cols/vals. Size rows.size()+1; a pointer chunk's
+  /// are {0, long_len}.
+  std::span<const index_t> row_offsets;
+  std::span<const index_t> cols;
+  std::span<const T> vals;
   ChunkOrder order;
 
   /// Long-row pointer chunk: no materialized data; the chunk stands for
@@ -90,15 +134,64 @@ struct Chunk {
     return is_long_row ? long_len : static_cast<index_t>(cols.size());
   }
 
-  /// Bytes charged against the chunk pool: header (start row, counts, list
-  /// link — 32 B as in the paper's layout), per-row boundaries, and the
-  /// column/value payload. Pointer chunks cost only the fixed 48 B record.
+  /// Bytes charged against the chunk pool for a materialized chunk of
+  /// `row_count` rows and `entries` entries: header (start row, counts,
+  /// list link — 32 B as in the paper's layout), per-row boundaries, and
+  /// the column/value payload.
+  [[nodiscard]] static constexpr std::size_t charged_bytes(
+      std::size_t row_count, std::size_t entries) {
+    return kChunkHeaderBytes + row_count * sizeof(index_t) +
+           entries * (sizeof(index_t) + sizeof(T));
+  }
+
+  /// This chunk's charge. Pointer chunks cost only the fixed 48 B record.
   [[nodiscard]] constexpr std::size_t byte_size() const {
     if (is_long_row) return kPointerChunkBytes;
-    return kChunkHeaderBytes + rows.size() * sizeof(index_t) +
-           cols.size() * (sizeof(index_t) + sizeof(T));
+    return charged_bytes(rows.size(), cols.size());
   }
 };
+
+/// Writable views of one chunk placement, filled by the kernel that
+/// charged it and then frozen into a `Chunk` header.
+template <class T>
+struct ChunkSlot {
+  std::span<index_t> rows;
+  std::span<index_t> row_offsets;
+  std::span<index_t> cols;
+  std::span<T> vals;
+
+  [[nodiscard]] Chunk<T> chunk(ChunkOrder order) const {
+    Chunk<T> c;
+    c.rows = rows;
+    c.row_offsets = row_offsets;
+    c.cols = cols;
+    c.vals = vals;
+    c.order = order;
+    return c;
+  }
+};
+
+/// Where a ChunkPool takes its storage regions from and gives them back
+/// to. The pool takes a region from whichever block first writes into it
+/// and gives every region back when it is destroyed, so both calls must be
+/// thread-safe. The engine's arena (src/runtime/pool_arena.hpp) recycles
+/// them across jobs; a pool without a source allocates its own.
+class RegionSource {
+ public:
+  /// A region of kPoolRegionBytes, aligned to at least kPlacementAlign.
+  virtual std::byte* take_region() = 0;
+  virtual void give_back(std::byte* region) noexcept = 0;
+
+ protected:
+  ~RegionSource() = default;
+};
+
+/// A new region of kPoolRegionBytes from the heap. Nothing is touched or
+/// zero-filled: a page the allocator takes from the OS is backed only when
+/// a chunk is first written into it. Throws std::bad_alloc.
+[[nodiscard]] std::byte* allocate_region();
+/// Free a region from `allocate_region`.
+void free_region(std::byte* region) noexcept;
 
 /// One `ChunkPool::try_allocate` attempt as seen by an `AllocationPolicy`.
 /// `index` is the 0-based sequence number of the attempt over the pool's
@@ -135,13 +228,13 @@ class AllocationPolicy {
   return std::clamp(capacity, std::size_t{64} << 10, std::size_t{1} << 30);
 }
 
-/// Memory-accounting view of the chunk pool: a bump allocator with a hard
-/// capacity. `try_allocate` mirrors the GPU's atomic-counter increment; the
-/// actual storage lives in the Chunk objects (the simulator does not need
-/// the single flat arena, only its accounting behaviour).
+/// The chunk pool (§3.2.4, §3.5): charged accounting against a hard
+/// capacity, and the storage chunks live in.
 ///
-/// Restart accounting: a failed `try_allocate` is the *only* trigger of the
-/// paper's §3.5 restart protocol. The pool distinguishes its two causes —
+/// Accounting: `try_allocate` mirrors the GPU's atomic-counter increment
+/// against the capacity, charging each chunk its `Chunk::byte_size()`.
+/// A failed `try_allocate` is the *only* trigger of the paper's §3.5
+/// restart protocol. The pool distinguishes its two causes —
 /// `capacity_denials()` counts genuine exhaustion, `injected_denials()`
 /// counts refusals by the installed `AllocationPolicy` — while
 /// `alloc_attempts()` numbers every attempt, which is the index space the
@@ -150,9 +243,26 @@ class AllocationPolicy {
 /// many blocks) and `pool_denials` the denied block launches of either
 /// cause; nonzero `pool_denials` with zero `restarts` is impossible
 /// (DESIGN.md §8).
+///
+/// Storage: a list of kPoolRegionBytes regions behind one atomic bump
+/// pointer. `place` hands out a charged chunk's placement; the block whose
+/// bump first lands in a region takes it from the `RegionSource` (or
+/// allocates it), so a pool holds only the regions its chunks were written
+/// into, and
+/// a restart's growth becomes another region once the relaunched blocks
+/// write past the last one. The charge alone decides denials: a denied
+/// allocation places nothing, and running out of placed room only adds a
+/// region. Regions go back to the source (or are freed) when the pool is
+/// destroyed, so the chunks' spans live exactly as long as the pool.
 class ChunkPool {
  public:
-  explicit ChunkPool(std::size_t capacity_bytes) : capacity_(capacity_bytes) {}
+  explicit ChunkPool(std::size_t capacity_bytes,
+                     RegionSource* regions = nullptr)
+      : capacity_(capacity_bytes), source_(regions) {}
+  ~ChunkPool();
+
+  ChunkPool(const ChunkPool&) = delete;
+  ChunkPool& operator=(const ChunkPool&) = delete;
 
   /// Reserve `bytes`; false means the pool is exhausted (restart needed) —
   /// either genuinely or because the installed policy denied the attempt.
@@ -190,6 +300,27 @@ class ChunkPool {
     return true;
   }
 
+  /// Storage for a materialized chunk of `row_count` rows and `entries`
+  /// entries, laid out by `ChunkLayout`. Call it only for a chunk whose
+  /// charge `try_allocate` granted. Never fails for lack of room: a
+  /// placement past the last region adds one. Safe from concurrent blocks.
+  template <class T>
+  [[nodiscard]] ChunkSlot<T> place(std::size_t row_count,
+                                   std::size_t entries) {
+    const ChunkLayout<T> layout{row_count, entries};
+    std::byte* p = place_bytes(layout.bytes());
+    // Array placement-new starts the arrays' lifetimes in the raw region
+    // (which may hold another job's chunks); it writes nothing, as the
+    // element types are trivial.
+    ChunkSlot<T> slot;
+    slot.rows = {::new (p) index_t[row_count], row_count};
+    slot.row_offsets = {::new (p + layout.offsets_at()) index_t[row_count + 1],
+                        row_count + 1};
+    slot.cols = {::new (p + layout.cols_at()) index_t[entries], entries};
+    slot.vals = {::new (p + layout.vals_at()) T[entries], entries};
+    return slot;
+  }
+
   /// Expand the pool ("as easy as adding another memory region").
   void grow(std::size_t bytes) {
     // mo: called between rounds (no concurrent blocks); a late observer
@@ -225,14 +356,35 @@ class ChunkPool {
   [[nodiscard]] std::uint64_t capacity_denials() const {
     return capacity_denials_.load(std::memory_order_relaxed);  // mo: above
   }
+  /// Storage regions the pool holds. Read after the blocks join.
+  [[nodiscard]] std::size_t regions() const;
+
+  /// Regions one pool may hold: 64 GiB of chunks, far past any product
+  /// that fits in memory. `place` throws std::length_error beyond it.
+  static constexpr std::size_t kMaxRegions = 4096;
 
  private:
+  /// Bump `bytes` (a multiple of kPlacementAlign) over the concatenated
+  /// regions. A placement that would straddle a region's end is dropped
+  /// and bumped again, so it lands at the start of a later region.
+  std::byte* place_bytes(std::size_t bytes);
+  /// Region `i`, taken or allocated by the first block that lands in it;
+  /// blocks landing in it meanwhile wait for that one region.
+  std::byte* region(std::size_t i);
+  /// The highest region index a placement can have reached.
+  [[nodiscard]] std::size_t region_bound() const;
+
   std::atomic<std::size_t> capacity_;
   std::atomic<std::size_t> used_{0};
   std::atomic<std::uint64_t> alloc_attempts_{0};
   std::atomic<std::uint64_t> injected_denials_{0};
   std::atomic<std::uint64_t> capacity_denials_{0};
   AllocationPolicy* policy_ = nullptr;
+
+  RegionSource* source_;
+  /// Placement bytes bumped so far over the concatenated regions.
+  std::atomic<std::size_t> cursor_{0};
+  std::array<std::atomic<std::byte*>, kMaxRegions> regions_{};
 };
 
 /// A row's reference to part of a chunk, used for merge detection and the
@@ -241,7 +393,45 @@ struct RowSegment {
   std::size_t chunk = 0;   ///< index into the global chunk vector
   index_t begin = 0;       ///< first entry of the row inside the chunk
   index_t length = 0;      ///< entries of the row inside the chunk
-  ChunkOrder order;
+};
+
+/// Every row's segments in one flat array, CSR-style: row r's are
+/// `of(r)`, in the order of the chunks they were built from. Built by
+/// count, prefix and fill, so no row allocates a list of its own.
+class SegmentTable {
+ public:
+  /// Index the rows of `chunks[first, chunks.size())` over `rows` output
+  /// rows. Chunk indices in the segments are global (into `chunks`).
+  template <class T>
+  void build(std::span<const Chunk<T>> chunks, std::size_t first,
+             index_t rows) {
+    start_.assign(usize(rows) + 1, 0);
+    for (std::size_t ci = first; ci < chunks.size(); ++ci)
+      for (const index_t r : chunks[ci].rows) ++start_[usize(r) + 1];
+    for (std::size_t r = 1; r < start_.size(); ++r) start_[r] += start_[r - 1];
+    segments_.resize(start_.back());
+    // Fill with start_[r] as row r's cursor; afterwards it holds row r's
+    // end, i.e. row r+1's start, so shift the array back by one.
+    for (std::size_t ci = first; ci < chunks.size(); ++ci) {
+      const Chunk<T>& chunk = chunks[ci];
+      for (std::size_t k = 0; k < chunk.rows.size(); ++k)
+        segments_[start_[usize(chunk.rows[k])]++] = {
+            ci, chunk.row_offsets[k],
+            chunk.row_offsets[k + 1] - chunk.row_offsets[k]};
+    }
+    std::copy_backward(start_.begin(), start_.end() - 1, start_.end());
+    start_[0] = 0;
+  }
+
+  [[nodiscard]] std::span<const RowSegment> of(index_t row) const {
+    return std::span<const RowSegment>(segments_)
+        .subspan(start_[usize(row)],
+                 start_[usize(row) + 1] - start_[usize(row)]);
+  }
+
+ private:
+  std::vector<std::size_t> start_;  ///< rows + 1 prefix offsets
+  std::vector<RowSegment> segments_;
 };
 
 }  // namespace acs

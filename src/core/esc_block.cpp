@@ -12,30 +12,24 @@
 namespace acs {
 namespace {
 
-/// Build a chunk from a prefix of the compaction output.
-/// Rows [0, row_count) of `out` with their entries are materialized;
-/// `a_row` maps local row ids to global rows.
+/// Write a prefix of the compaction output into a chunk's pool placement:
+/// its first slot.rows.size() rows with their entries. `a_row` maps local
+/// row ids to global rows.
 template <class T>
-Chunk<T> build_chunk(const CompactionOutput<T>& out, std::size_t row_count,
+Chunk<T> write_chunk(const ChunkSlot<T>& slot, const CompactionOutput<T>& out,
                      const KeyCodec& codec, std::span<const index_t> a_row,
                      ChunkOrder order) {
-  Chunk<T> chunk;
-  chunk.order = order;
-  chunk.rows.reserve(row_count);
-  chunk.row_offsets.reserve(row_count + 1);
-  chunk.row_offsets.push_back(0);
+  slot.row_offsets[0] = 0;
   index_t entries = 0;
-  for (std::size_t i = 0; i < row_count; ++i) {
-    chunk.rows.push_back(a_row[static_cast<std::size_t>(out.rows[i].first)]);
+  for (std::size_t i = 0; i < slot.rows.size(); ++i) {
+    slot.rows[i] = a_row[static_cast<std::size_t>(out.rows[i].first)];
     entries += out.rows[i].second;
-    chunk.row_offsets.push_back(entries);
+    slot.row_offsets[i + 1] = entries;
   }
-  chunk.cols.resize(usize(entries));
-  for (index_t e = 0; e < entries; ++e)
-    chunk.cols[usize(e)] = codec.col_of(out.keys[usize(e)]);
-  chunk.vals.assign(out.vals.begin(),
-                    out.vals.begin() + static_cast<std::ptrdiff_t>(entries));
-  return chunk;
+  for (std::size_t e = 0; e < slot.cols.size(); ++e)
+    slot.cols[e] = codec.col_of(out.keys[e]);
+  std::copy_n(out.vals.begin(), slot.vals.size(), slot.vals.begin());
+  return slot.chunk(order);
 }
 
 /// Per-thread buffers of the ESC block. One thread_local instance serves
@@ -149,19 +143,23 @@ EscBlockResult<T> run_esc_block(const Csr<T>& a, const Csr<T>& b,
        j < static_cast<index_t>(long_entries.size()); ++j) {
     const index_t i = long_entries[static_cast<std::size_t>(j)];
     const index_t acol = a.col_idx[static_cast<std::size_t>(begin + i)];
-    Chunk<T> chunk;
-    chunk.is_long_row = true;
-    chunk.rows = {a_row[static_cast<std::size_t>(i)]};
-    chunk.b_row = acol;
-    chunk.factor = a.values[static_cast<std::size_t>(begin + i)];
-    chunk.long_len = b.row_length(acol);
-    chunk.order = {static_cast<std::uint32_t>(block_id), state.chunk_counter};
-    if (!pool.try_allocate(chunk.byte_size())) {
+    const index_t len = b.row_length(acol);
+    if (!pool.try_allocate(kPointerChunkBytes)) {
       res.needs_restart = true;
       return res;
     }
-    charge_chunk_write(m, chunk.byte_size(), 1);
-    res.chunks.push_back(std::move(chunk));
+    charge_chunk_write(m, kPointerChunkBytes, 1);
+    const ChunkSlot<T> slot = pool.place<T>(1, 0);
+    slot.rows[0] = a_row[static_cast<std::size_t>(i)];
+    slot.row_offsets[0] = 0;
+    slot.row_offsets[1] = len;
+    Chunk<T> chunk = slot.chunk(
+        {static_cast<std::uint32_t>(block_id), state.chunk_counter});
+    chunk.is_long_row = true;
+    chunk.b_row = acol;
+    chunk.factor = a.values[static_cast<std::size_t>(begin + i)];
+    chunk.long_len = len;
+    res.chunks.push_back(chunk);
     ++state.chunk_counter;
     state.long_rows_done = j + 1;
   }
@@ -311,11 +309,11 @@ EscBlockResult<T> run_esc_block(const Csr<T>& a, const Csr<T>& b,
         carry_last ? out.rows.size() - 1 : out.rows.size();
 
     if (write_rows > 0) {
-      Chunk<T> chunk = build_chunk(out, write_rows, codec,
-                                   std::span<const index_t>(a_row),
-                                   {static_cast<std::uint32_t>(block_id),
-                                    state.chunk_counter});
-      if (!pool.try_allocate(chunk.byte_size())) {
+      const std::size_t written =
+          carry_last ? out.keys.size() - static_cast<std::size_t>(last_count)
+                     : out.keys.size();
+      const std::size_t bytes = Chunk<T>::charged_bytes(write_rows, written);
+      if (!pool.try_allocate(bytes)) {
         // Resume point (DESIGN.md §8): this iteration's start and the carry
         // it began with, spilled to global memory for the relaunch.
         state.resume_consumed = iteration_start;
@@ -327,10 +325,14 @@ EscBlockResult<T> run_esc_block(const Csr<T>& a, const Csr<T>& b,
         res.needs_restart = true;
         return res;
       }
-      charge_chunk_write(m, chunk.byte_size(), write_rows);
+      charge_chunk_write(m, bytes, write_rows);
       // Staging round trip through scratchpad for coalesced writes.
-      m.scratch_ops += 2 * chunk.cols.size();
-      res.chunks.push_back(std::move(chunk));
+      m.scratch_ops += 2 * written;
+      res.chunks.push_back(
+          write_chunk(pool.place<T>(write_rows, written), out, codec,
+                      std::span<const index_t>(a_row),
+                      {static_cast<std::uint32_t>(block_id),
+                       state.chunk_counter}));
       ++state.chunk_counter;
     }
 

@@ -153,7 +153,7 @@ static_assert(scan_operator_counts_correctly<float>());
 static_assert(scan_operator_counts_correctly<double>());
 
 // ---------------------------------------------------------------------------
-// 3. Chunk header accounting (chunk.hpp).
+// 3. Chunk header accounting and pool placement (chunk.hpp).
 // ---------------------------------------------------------------------------
 
 // The 32 B header holds the paper layout's fixed fields (start row, entry
@@ -167,16 +167,21 @@ static_assert(kPointerChunkBytes % 16 == 0);
 static_assert(kPointerChunkBytes - kChunkHeaderBytes >=
               2 * sizeof(index_t) + sizeof(double));
 
-// byte_size, evaluated at compile time (C++20 constexpr std::vector): a
-// 2-row, 3-entry chunk pays header + boundaries + payload; a long-row
-// chunk pays the fixed record regardless of its materialized length.
+// byte_size, evaluated at compile time over a header of spans: a 2-row,
+// 3-entry chunk pays header + boundaries + payload; a long-row chunk pays
+// the fixed record regardless of its materialized length.
 template <class T>
 constexpr bool chunk_accounting_holds() {
+  const index_t rows[] = {4, 5};
+  const index_t offsets[] = {0, 2, 3};
+  const index_t cols[] = {7, 9, 7};
+  const T vals[] = {T(1), T(2), T(3)};
   Chunk<T> c;
-  c.rows = {4, 5};
-  c.row_offsets = {0, 2, 3};
-  c.cols = {7, 9, 7};
-  c.vals = {T(1), T(2), T(3)};
+  c.rows = rows;
+  c.row_offsets = offsets;
+  c.cols = cols;
+  c.vals = vals;
+  if (c.byte_size() != Chunk<T>::charged_bytes(2, 3)) return false;
   if (c.byte_size() !=
       kChunkHeaderBytes + 2 * sizeof(index_t) + 3 * (sizeof(index_t) + sizeof(T)))
     return false;
@@ -201,11 +206,15 @@ static_assert(kChunkEntryBytes<double> ==
 // boundary, because a chunk never covers more rows than it has entries.
 template <class T>
 constexpr bool entry_cost_covers_chunk_payload() {
+  const index_t rows[] = {4, 5};
+  const index_t offsets[] = {0, 2, 3};
+  const index_t cols[] = {7, 9, 7};
+  const T vals[] = {T(1), T(2), T(3)};
   Chunk<T> c;
-  c.rows = {4, 5};
-  c.row_offsets = {0, 2, 3};
-  c.cols = {7, 9, 7};
-  c.vals = {T(1), T(2), T(3)};
+  c.rows = rows;
+  c.row_offsets = offsets;
+  c.cols = cols;
+  c.vals = vals;
   return c.byte_size() <= kChunkHeaderBytes + 3 * kChunkEntryBytes<T>;
 }
 static_assert(entry_cost_covers_chunk_payload<float>());
@@ -214,6 +223,56 @@ static_assert(entry_cost_covers_chunk_payload<double>());
 // worth of header+payload — diverting a long row can only shrink the pool.
 static_assert(kPointerChunkBytes <=
               kChunkHeaderBytes + kChunkEntryBytes<double>);
+
+inline constexpr std::size_t kKiB = std::size_t{1} << 10;
+inline constexpr std::size_t kMiB = std::size_t{1} << 20;
+inline constexpr std::size_t kGiB = std::size_t{1} << 30;
+
+// Pool placement (ChunkLayout). A region comes from operator new, aligned
+// for any payload element, and every placement is a multiple of
+// kPlacementAlign, so each array of a placement is aligned for its type.
+static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= kPlacementAlign);
+static_assert(kPoolRegionBytes % kPlacementAlign == 0);
+static_assert(kPlacementAlign >= alignof(double) &&
+              kPlacementAlign >= alignof(index_t));
+template <class T>
+constexpr bool placement_is_aligned(std::size_t rows, std::size_t entries) {
+  const ChunkLayout<T> l{rows, entries};
+  return l.bytes() % kPlacementAlign == 0 && l.vals_at() % alignof(T) == 0 &&
+         l.cols_at() % alignof(index_t) == 0 && l.bytes() >= l.vals_at();
+}
+static_assert(placement_is_aligned<float>(1, 1));
+static_assert(placement_is_aligned<float>(3, 4));
+static_assert(placement_is_aligned<double>(1, 0));  // pointer chunk
+static_assert(placement_is_aligned<double>(2, 3));
+static_assert(placement_is_aligned<double>(4, 4));
+// The largest chunk a validated Config writes — every entry of a
+// temp_capacity() buffer (at most 32767, the compaction counters' range),
+// one row each — is under 1 MiB, so a placement never straddles more than
+// one region boundary and a region's dropped tail stays under 1/16 of it.
+static_assert(ChunkLayout<double>{32767, 32767}.bytes() < kMiB);
+static_assert(16 * kMiB <= kPoolRegionBytes);
+// Regions stay under glibc's 32 MiB ceiling on heap-served blocks.
+static_assert(kPoolRegionBytes < 32 * kMiB);
+// A placement exceeds its charge only by the row ids beside the per-row
+// boundaries, the extra row offset and alignment padding, less the 32 B
+// header the Chunk object keeps: so placed bytes stay under 4/3 of the
+// charged bytes, which caps a pool's storage at 4/3 of its capacity plus
+// each region's dropped tail.
+template <class T>
+constexpr bool placement_within_charge(std::size_t rows, std::size_t entries) {
+  const std::size_t placed = ChunkLayout<T>{rows, entries}.bytes();
+  const std::size_t charged = Chunk<T>::charged_bytes(rows, entries);
+  return placed <= charged - kChunkHeaderBytes +
+                       (rows + 1) * sizeof(index_t) + kPlacementAlign &&
+         3 * placed <= 4 * charged;
+}
+static_assert(placement_within_charge<float>(1, 1));
+static_assert(placement_within_charge<float>(2048, 2048));
+static_assert(placement_within_charge<double>(1, 1));
+static_assert(placement_within_charge<double>(1, 2048));
+static_assert(placement_within_charge<double>(2048, 2048));
+static_assert(placement_within_charge<double>(32767, 32767));
 
 // The deterministic chunk order must stay a plain 8-byte value type — the
 // engine copies it around freely and sorts on it.
@@ -278,9 +337,6 @@ static_assert(kStaticWorstCase.col_of(kStaticWorstCase.encode(
 // 5. Restart pool growth (chunk.hpp, restart_growth_step).
 // ---------------------------------------------------------------------------
 
-inline constexpr std::size_t kKiB = std::size_t{1} << 10;
-inline constexpr std::size_t kMiB = std::size_t{1} << 20;
-inline constexpr std::size_t kGiB = std::size_t{1} << 30;
 // Floor: a tiny (or empty) pool still grows by 64 KiB per round.
 static_assert(restart_growth_step(0) == 64 * kKiB);
 static_assert(restart_growth_step(4 * kKiB) == 64 * kKiB);

@@ -27,15 +27,16 @@ struct Gathered {
 /// of B` on the fly (coalesced read of the long row); regular segments read
 /// the chunk payload (coalesced, one transaction overhead per segment).
 template <class T>
-void gather(const MergeBatch& batch, const std::vector<Chunk<T>>& chunks,
-            const Csr<T>& b, sim::MetricCounters& m, Gathered<T>& g) {
+void gather(const MergeBatch& batch, const SegmentTable& segments,
+            std::span<const Chunk<T>> chunks, const Csr<T>& b,
+            sim::MetricCounters& m, Gathered<T>& g) {
   g.lrow.clear();
   g.col.clear();
   g.val.clear();
   g.min_col = b.cols;
   g.max_col = 0;
   for (std::size_t r = 0; r < batch.rows.size(); ++r) {
-    for (const RowSegment& seg : batch.segments[r]) {
+    for (const RowSegment& seg : segments.of(batch.rows[r])) {
       const Chunk<T>& chunk = chunks[seg.chunk];
       if (chunk.is_long_row) {
         const index_t start = b.row_ptr[usize(chunk.b_row)];
@@ -72,7 +73,8 @@ void gather(const MergeBatch& batch, const std::vector<Chunk<T>>& chunks,
 /// Per-window cut-discovery cost of the three merge algorithms.
 template <class T>
 void charge_cut_discovery(MergeKind kind, const MergeBatch& batch,
-                          const std::vector<Chunk<T>>& chunks,
+                          const SegmentTable& segments,
+                          std::span<const Chunk<T>> chunks,
                           const Config& cfg, sim::MetricCounters& m) {
   const auto threads = static_cast<std::uint64_t>(cfg.threads);
   switch (kind) {
@@ -93,8 +95,8 @@ void charge_cut_discovery(MergeKind kind, const MergeBatch& batch,
     case MergeKind::Search: {
       // Binary search of each sampled column id in every chunk.
       std::uint64_t probes = 0;
-      for (const auto& segs : batch.segments)
-        for (const RowSegment& seg : segs) {
+      for (const index_t row : batch.rows)
+        for (const RowSegment& seg : segments.of(row)) {
           const auto len = std::max<index_t>(
               chunks[seg.chunk].is_long_row ? chunks[seg.chunk].long_len
                                             : seg.length,
@@ -137,7 +139,8 @@ struct MergeWorkspace {
 /// n × passes over the codec's width, and one block scan per window.
 template <class T>
 MergeOutcome<T> run_merge_block(const MergeBatch& batch,
-                                const std::vector<Chunk<T>>& chunks,
+                                const SegmentTable& segments,
+                                std::span<const Chunk<T>> chunks,
                                 const Csr<T>& b, const Config& cfg,
                                 ChunkPool& pool, MergeKind kind,
                                 std::size_t windows_done_start,
@@ -149,7 +152,7 @@ MergeOutcome<T> run_merge_block(const MergeBatch& batch,
   MergeWorkspace<T>& ws = MergeWorkspace<T>::instance();
 
   Gathered<T>& g = ws.g;
-  gather(batch, chunks, b, m, g);
+  gather(batch, segments, chunks, b, m, g);
   const std::size_t n = g.col.size();
   if (n == 0) return out;
 
@@ -198,63 +201,71 @@ MergeOutcome<T> run_merge_block(const MergeBatch& batch,
     if (w < windows_done_start) continue;  // already written before restart
     ACS_TRACE_SCOPE(detail_trace, "merge.window");
     if (kind != MergeKind::Multi || w > 0)
-      charge_cut_discovery(kind, batch, chunks, cfg, m);
+      charge_cut_discovery(kind, batch, segments, chunks, cfg, m);
 
-    Chunk<T> chunk;
-    chunk.order = {order_block, static_cast<std::uint32_t>(w)};
-
+    const ChunkOrder order{order_block, static_cast<std::uint32_t>(w)};
     const std::size_t wn = end - begin;
-    if (wn <= compaction_detail::kCounterMask) {
-      compact_sorted_into(
-          std::span<const std::uint64_t>(keys).subspan(begin, wn),
-          std::span<const T>(g.val).subspan(begin, wn), codec, ws.compaction);
-      m.scan_elements += wn;
-      m.scratch_ops += wn;
-      const CompactionOutput<T>& c = ws.compaction;
-      chunk.row_offsets.push_back(0);
-      index_t entries = 0;
-      for (const auto& [lrow, count] : c.rows) {
-        chunk.rows.push_back(batch.rows[static_cast<std::size_t>(lrow)]);
-        entries += count;
-        chunk.row_offsets.push_back(entries);
-      }
-      chunk.cols.reserve(c.keys.size());
-      for (std::uint64_t k : c.keys) chunk.cols.push_back(codec.col_of(k));
-      chunk.vals = c.vals;
-    } else {
-      // Degenerate oversized key group (more duplicates of one (row, col)
-      // than fit in a block): sequential accumulation in chained passes.
-      T sum = g.val[begin];
-      for (std::size_t j = begin + 1; j < end; ++j) sum += g.val[j];
-      m.scan_elements += wn;
+    // Degenerate oversized key group (more duplicates of one (row, col)
+    // than fit in a block): sequential accumulation in chained passes,
+    // into a one-entry chunk.
+    const bool degenerate = wn > compaction_detail::kCounterMask;
+    m.scan_elements += wn;
+    if (degenerate) {
       // The wn-1 additions are useful floating-point work just like the
       // compaction path's combines — uncharged they vanish from the Fig. 7
       // breakdown on duplicate-heavy inputs.
       m.flops += static_cast<std::uint64_t>(wn - 1);
-      chunk.rows.push_back(
-          batch.rows[static_cast<std::size_t>(codec.row_of(keys[begin]))]);
-      chunk.row_offsets = {0, 1};
-      chunk.cols.push_back(codec.col_of(keys[begin]));
-      chunk.vals.push_back(sum);
+    } else {
+      compact_sorted_into(
+          std::span<const std::uint64_t>(keys).subspan(begin, wn),
+          std::span<const T>(g.val).subspan(begin, wn), codec, ws.compaction);
+      m.scratch_ops += wn;
     }
+    const CompactionOutput<T>& c = ws.compaction;
+    const std::size_t rows = degenerate ? 1 : c.rows.size();
+    const std::size_t entries = degenerate ? 1 : c.keys.size();
 
-    if (!pool.try_allocate(chunk.byte_size())) {
+    const std::size_t bytes = Chunk<T>::charged_bytes(rows, entries);
+    if (!pool.try_allocate(bytes)) {
       out.needs_restart = true;
       return out;
     }
-    charge_chunk_write(m, chunk.byte_size(), chunk.rows.size());
-    m.scratch_ops += 2 * chunk.cols.size();
-    out.chunks.push_back(std::move(chunk));
+    charge_chunk_write(m, bytes, rows);
+    m.scratch_ops += 2 * entries;
+    const ChunkSlot<T> slot = pool.place<T>(rows, entries);
+    slot.row_offsets[0] = 0;
+    if (degenerate) {
+      T sum = g.val[begin];
+      for (std::size_t j = begin + 1; j < end; ++j) sum += g.val[j];
+      slot.rows[0] =
+          batch.rows[static_cast<std::size_t>(codec.row_of(keys[begin]))];
+      slot.row_offsets[1] = 1;
+      slot.cols[0] = codec.col_of(keys[begin]);
+      slot.vals[0] = sum;
+    } else {
+      index_t written = 0;
+      for (std::size_t r = 0; r < rows; ++r) {
+        slot.rows[r] = batch.rows[static_cast<std::size_t>(c.rows[r].first)];
+        written += c.rows[r].second;
+        slot.row_offsets[r + 1] = written;
+      }
+      for (std::size_t e = 0; e < entries; ++e)
+        slot.cols[e] = codec.col_of(c.keys[e]);
+      std::copy_n(c.vals.begin(), entries, slot.vals.begin());
+    }
+    out.chunks.push_back(slot.chunk(order));
     out.windows_done = w + 1;
   }
   return out;
 }
 
 template MergeOutcome<float> run_merge_block(
-    const MergeBatch&, const std::vector<Chunk<float>>&, const Csr<float>&,
-    const Config&, ChunkPool&, MergeKind, std::size_t, std::uint32_t);
+    const MergeBatch&, const SegmentTable&, std::span<const Chunk<float>>,
+    const Csr<float>&, const Config&, ChunkPool&, MergeKind, std::size_t,
+    std::uint32_t);
 template MergeOutcome<double> run_merge_block(
-    const MergeBatch&, const std::vector<Chunk<double>>&, const Csr<double>&,
-    const Config&, ChunkPool&, MergeKind, std::size_t, std::uint32_t);
+    const MergeBatch&, const SegmentTable&, std::span<const Chunk<double>>,
+    const Csr<double>&, const Config&, ChunkPool&, MergeKind, std::size_t,
+    std::uint32_t);
 
 }  // namespace acs

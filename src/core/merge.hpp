@@ -12,6 +12,7 @@
 /// bit-stability guarantee extends across the merge.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/chunk.hpp"
@@ -23,12 +24,11 @@ namespace acs {
 
 enum class MergeKind { Multi, Path, Search };
 
-/// One merge work unit: a set of rows (one row for Path/Search; possibly
-/// many for Multi Merge), each with its ordered shared segments.
+/// One merge work unit: a set of rows, each with two or more segments in
+/// the ESC segment table — one row for Path/Search, possibly many for
+/// Multi Merge. A slice of the stage's row list, so no batch allocates.
 struct MergeBatch {
-  std::vector<index_t> rows;
-  /// segments[i] are row rows[i]'s segments, sorted by ChunkOrder.
-  std::vector<std::vector<RowSegment>> segments;
+  std::span<const index_t> rows;
 };
 
 template <class T>
@@ -42,21 +42,25 @@ struct MergeOutcome {
   std::size_t windows_done = 0;
 };
 
-/// Execute one merge block. `windows_done_start` resumes a restarted task;
-/// windows before it are skipped (their chunks already exist).
+/// Execute one merge block. Row r's segments are `segments.of(r)`, indexing
+/// `chunks`. `windows_done_start` resumes a restarted task; windows before
+/// it are skipped (their chunks already exist).
 template <class T>
 MergeOutcome<T> run_merge_block(const MergeBatch& batch,
-                                const std::vector<Chunk<T>>& chunks,
+                                const SegmentTable& segments,
+                                std::span<const Chunk<T>> chunks,
                                 const Csr<T>& b, const Config& cfg,
                                 ChunkPool& pool, MergeKind kind,
                                 std::size_t windows_done_start,
                                 std::uint32_t order_block);
 
 extern template MergeOutcome<float> run_merge_block(
-    const MergeBatch&, const std::vector<Chunk<float>>&, const Csr<float>&,
-    const Config&, ChunkPool&, MergeKind, std::size_t, std::uint32_t);
+    const MergeBatch&, const SegmentTable&, std::span<const Chunk<float>>,
+    const Csr<float>&, const Config&, ChunkPool&, MergeKind, std::size_t,
+    std::uint32_t);
 extern template MergeOutcome<double> run_merge_block(
-    const MergeBatch&, const std::vector<Chunk<double>>&, const Csr<double>&,
-    const Config&, ChunkPool&, MergeKind, std::size_t, std::uint32_t);
+    const MergeBatch&, const SegmentTable&, std::span<const Chunk<double>>,
+    const Csr<double>&, const Config&, ChunkPool&, MergeKind, std::size_t,
+    std::uint32_t);
 
 }  // namespace acs

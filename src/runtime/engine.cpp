@@ -1,7 +1,6 @@
 #include "runtime/engine.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "arch/arch.hpp"
 #include "runtime/fingerprint.hpp"
@@ -157,8 +156,9 @@ template <class T>
 void Engine<T>::run_job(detail::JobState<T>& job, WorkerContext& ctx) {
   JobResult<T> result;
   std::exception_ptr error;
-  bool leased = false;
-  typename PoolArena::Lease lease;
+  // The job's chunk pool draws its regions from the arena through this
+  // lease and gives them all back before multiply_planned returns.
+  PoolArena::Lease lease(arena_);
   // One session per job so its counters are the job's alone; a session the
   // caller installed on the Config is left in place (and stays theirs —
   // per-job counters cannot be split out of a shared session).
@@ -176,21 +176,10 @@ void Engine<T>::run_job(detail::JobState<T>& job, WorkerContext& ctx) {
     job.cfg.alloc_policy = injected_policy.get();
   }
   try {
-    // Checked before the pool estimate, which indexes B's rows by A's
-    // column ids; the pipeline validates the rest.
-    if (job.a.cols != job.b.rows)
-      throw std::invalid_argument(
-          "engine: dimension mismatch (A.cols != B.rows)");
+    // The pipeline checks the operands before it prices the pool.
     const Fingerprint key = fingerprint(job.a, job.b, job.cfg.arch);
     SpgemmPlan plan;
     const bool hit = cache_.lookup(key, plan);
-
-    std::size_t want = plan.pool_bytes
-                           ? plan.pool_bytes
-                           : estimate_chunk_pool_bytes(job.a, job.b, job.cfg);
-    lease = arena_.acquire(want);
-    leased = true;
-    plan.pool_bytes = lease.bytes;
 
     if (!ctx.scheduler ||
         ctx.scheduler_threads != job.cfg.scheduler_threads) {
@@ -200,19 +189,13 @@ void Engine<T>::run_job(detail::JobState<T>& job, WorkerContext& ctx) {
     }
 
     result.c = multiply_planned(job.a, job.b, job.cfg, plan, &result.stats,
-                                ctx.scheduler.get());
+                                ctx.scheduler.get(), &lease);
     result.plan_hit = hit;
-    result.pool_reused_bytes = lease.reused_bytes;
+    result.pool_reused_bytes = lease.reused_bytes();
     result.trace = session;
-
-    // The final capacity (including restart growth) becomes the slab.
-    arena_.release(result.stats.pool_bytes);
-    leased = false;
-
     cache_.store(key, std::move(plan));
   } catch (...) {
     error = std::current_exception();
-    if (leased) arena_.release(lease.bytes);
     result = JobResult<T>{};  // drop any partially-filled output
     result.error = error;
   }

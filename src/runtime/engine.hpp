@@ -5,14 +5,14 @@
 /// and returns a future-like JobHandle, `multiply_batch` runs a whole batch
 /// and collects the results. Every job goes through the plan cache (reusing
 /// global load balancing and learned pool sizes across identical sparsity
-/// patterns) and the pool arena (recycling chunk-pool capacity instead of
-/// allocating per call), and each engine worker keeps one warm
+/// patterns) and the pool arena (recycling chunk-pool storage regions
+/// instead of allocating them per call), and each engine worker keeps one warm
 /// BlockScheduler across jobs.
 ///
 /// Determinism: each job individually keeps the DESIGN.md §6 contract —
 /// its output is bit-identical for any engine worker count, any plan-cache
-/// state and any pool-arena state, because plans and recycled pools only
-/// shortcut setup work (the restart/pool-size independence of the core
+/// state and any pool-arena state, because plans and recycled pool regions
+/// only shortcut setup work (the restart/pool-size independence of the core
 /// pipeline is property-tested). Per-job *statistics* (restarts, pool
 /// bytes) may differ between cold and warm runs; results never do.
 ///
@@ -107,7 +107,8 @@ struct JobResult {
   Csr<T> c;
   SpgemmStats stats;
   bool plan_hit = false;             ///< plan served from the cache
-  std::size_t pool_reused_bytes = 0; ///< pool request covered by the arena
+  /// Bytes of chunk-pool regions the job drew recycled from the arena.
+  std::size_t pool_reused_bytes = 0;
   /// Engine-owned trace session when `EngineConfig::collect_job_traces` is
   /// set and the job's Config had no session of its own; null otherwise.
   std::shared_ptr<trace::TraceSession> trace;

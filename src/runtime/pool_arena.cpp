@@ -4,43 +4,59 @@
 
 namespace acs::runtime {
 
-PoolArena::Lease PoolArena::acquire(std::size_t bytes) {
-  acs::MutexLock lock(m_);
-  ++counters_.acquires;
-  ++counters_.outstanding;
+PoolArena::~PoolArena() { clear(); }
 
-  Lease lease;
-  // Best fit: the smallest slab that covers the request, handed out whole.
-  if (const auto it = slabs_.lower_bound(bytes); it != slabs_.end()) {
-    lease.bytes = *it;
-    lease.reused_bytes = bytes;
-    slabs_.erase(it);
-    ++counters_.reuse_hits;
-    counters_.reused_bytes += bytes;
-    return lease;
-  }
-  // No slab is big enough: grow the largest one instead of allocating a
-  // disjoint fresh pool (the paper's restart growth, amortized).
-  if (!slabs_.empty()) {
-    const auto largest = std::prev(slabs_.end());
-    lease.reused_bytes = *largest;
-    counters_.reused_bytes += *largest;
-    counters_.fresh_bytes += bytes - *largest;
-    slabs_.erase(largest);
-    ++counters_.reuse_hits;
-  } else {
-    counters_.fresh_bytes += bytes;
-  }
-  lease.bytes = bytes;
-  return lease;
+std::byte* PoolArena::Lease::take_region() {
+  bool recycled = false;
+  std::byte* region = arena_.take(recycled);
+  if (recycled)
+    // mo: per-job tally; the engine reads it after the job's blocks join.
+    reused_bytes_.fetch_add(kPoolRegionBytes, std::memory_order_relaxed);
+  return region;
 }
 
-void PoolArena::release(std::size_t final_bytes) {
+void PoolArena::Lease::give_back(std::byte* region) noexcept {
+  arena_.give_back(region);
+}
+
+std::byte* PoolArena::take(bool& recycled) {
+  {
+    acs::MutexLock lock(m_);
+    ++counters_.acquires;
+    ++counters_.outstanding;
+    if (!free_.empty()) {
+      std::byte* region = free_.back();
+      free_.pop_back();
+      ++counters_.reuse_hits;
+      counters_.reused_bytes += kPoolRegionBytes;
+      recycled = true;
+      return region;
+    }
+    counters_.fresh_bytes += kPoolRegionBytes;
+    counters_.high_water_bytes =
+        std::max(counters_.high_water_bytes,
+                 (counters_.outstanding + free_.size()) * kPoolRegionBytes);
+  }
+  // Allocated outside the lock: other jobs' blocks keep recycling meanwhile.
+  recycled = false;
+  try {
+    return allocate_region();
+  } catch (...) {
+    acs::MutexLock lock(m_);
+    --counters_.outstanding;
+    counters_.fresh_bytes -= kPoolRegionBytes;
+    throw;
+  }
+}
+
+void PoolArena::give_back(std::byte* region) noexcept {
   acs::MutexLock lock(m_);
-  slabs_.insert(final_bytes);
-  counters_.high_water_bytes =
-      std::max(counters_.high_water_bytes, final_bytes);
   if (counters_.outstanding > 0) --counters_.outstanding;
+  try {
+    free_.push_back(region);
+  } catch (...) {
+    free_region(region);  // no room to keep it: free it instead
+  }
 }
 
 PoolArena::Counters PoolArena::counters() const {
@@ -50,14 +66,13 @@ PoolArena::Counters PoolArena::counters() const {
 
 std::size_t PoolArena::free_bytes() const {
   acs::MutexLock lock(m_);
-  std::size_t total = 0;
-  for (const std::size_t s : slabs_) total += s;
-  return total;
+  return free_.size() * kPoolRegionBytes;
 }
 
 void PoolArena::clear() {
   acs::MutexLock lock(m_);
-  slabs_.clear();
+  for (std::byte* region : free_) free_region(region);
+  free_.clear();
   counters_ = Counters{};
 }
 

@@ -89,7 +89,7 @@ BatchBenchResult run_naive_batch(
     const Csr<T> c = multiply(a, b, cfg, &stats);
     r.sim_time_s += stats.sim_time_s;
     r.restarts += static_cast<std::size_t>(std::max(0, stats.restarts));
-    r.pool_fresh_bytes += stats.pool_bytes;  // every pool is a fresh allocation
+    r.pool_fresh_bytes += stats.pool_bytes;  // every call sizes its own pool
     r.metrics += to_metrics_snapshot(stats);
   }
   r.wall_s =

@@ -179,7 +179,11 @@ TEST(EscBlock, InjectedDenialAtEveryAllocationPreservesOutput) {
                            std::vector<index_t>, std::vector<double>>>
         layout;
     for (const auto& c : chunks)
-      layout.emplace_back(c.rows, c.row_offsets, c.cols, c.vals);
+      layout.emplace_back(
+          std::vector<index_t>(c.rows.begin(), c.rows.end()),
+          std::vector<index_t>(c.row_offsets.begin(), c.row_offsets.end()),
+          std::vector<index_t>(c.cols.begin(), c.cols.end()),
+          std::vector<double>(c.vals.begin(), c.vals.end()));
     return layout;
   };
   const auto ref_layout = layout_of(ref.chunks);

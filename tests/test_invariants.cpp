@@ -167,11 +167,15 @@ TEST(FeasibilityMirror, FitsDeviceMatchesPipelineValidate) {
 
 // The compile-time chunk accounting agrees with a chunk built at run time.
 TEST(ChunkAccounting, RuntimeMatchesConstants) {
+  const std::vector<index_t> rows = {0, 1, 2};
+  const std::vector<index_t> offsets = {0, 1, 2, 4};
+  const std::vector<index_t> cols = {3, 1, 0, 2};
+  const std::vector<double> vals = {1.0, 2.0, 3.0, 4.0};
   Chunk<double> c;
-  c.rows = {0, 1, 2};
-  c.row_offsets = {0, 1, 2, 4};
-  c.cols = {3, 1, 0, 2};
-  c.vals = {1.0, 2.0, 3.0, 4.0};
+  c.rows = rows;
+  c.row_offsets = offsets;
+  c.cols = cols;
+  c.vals = vals;
   EXPECT_EQ(c.byte_size(), kChunkHeaderBytes + 3 * sizeof(index_t) +
                                4 * (sizeof(index_t) + sizeof(double)));
   Chunk<double> p;

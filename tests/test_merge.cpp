@@ -5,32 +5,65 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "matrix/coo.hpp"
 
 namespace acs {
 namespace {
 
-/// A chunk holding one row's (col, val) entries.
-Chunk<double> row_chunk(index_t row, std::vector<index_t> cols,
-                        std::vector<double> vals, std::uint32_t block,
-                        std::uint32_t counter) {
-  Chunk<double> c;
-  c.rows = {row};
-  c.row_offsets = {0, static_cast<index_t>(cols.size())};
-  c.cols = std::move(cols);
-  c.vals = std::move(vals);
-  c.order = {block, counter};
-  return c;
+template <class T>
+std::vector<T> vec(std::span<const T> s) {
+  return {s.begin(), s.end()};
 }
 
-MergeBatch single_row_batch(index_t row, const std::vector<Chunk<double>>& chunks) {
+/// Chunks built by a test, with the pool that stores them.
+struct Chunks {
+  ChunkPool store{1 << 20};
+  std::vector<Chunk<double>> list;
+
+  /// Add a chunk holding one row's (col, val) entries.
+  void row(index_t row, const std::vector<index_t>& cols,
+           const std::vector<double>& vals, std::uint32_t block,
+           std::uint32_t counter) {
+    const ChunkSlot<double> slot = store.place<double>(1, cols.size());
+    slot.rows[0] = row;
+    slot.row_offsets[0] = 0;
+    slot.row_offsets[1] = static_cast<index_t>(cols.size());
+    std::copy(cols.begin(), cols.end(), slot.cols.begin());
+    std::copy(vals.begin(), vals.end(), slot.vals.begin());
+    list.push_back(slot.chunk({block, counter}));
+  }
+
+  /// The merge's input as the pipeline builds it: chunks in ChunkOrder,
+  /// then every row's segments indexed.
+  SegmentTable table(index_t rows) {
+    std::sort(list.begin(), list.end(),
+              [](const Chunk<double>& x, const Chunk<double>& y) {
+                return x.order < y.order;
+              });
+    SegmentTable t;
+    t.build(std::span<const Chunk<double>>(list), 0, rows);
+    return t;
+  }
+};
+
+/// Output rows every test's chunks fall in.
+constexpr index_t kRows = 100;
+
+/// Merge `rows` as one batch, each row's segments in chunk order.
+MergeOutcome<double> merge(Chunks& chunks, const std::vector<index_t>& rows,
+                           const Csr<double>& b, const Config& cfg,
+                           ChunkPool& pool, MergeKind kind,
+                           std::size_t windows_done = 0) {
+  const SegmentTable table = chunks.table(kRows);
   MergeBatch batch;
-  batch.rows = {row};
-  batch.segments.emplace_back();
-  for (std::size_t i = 0; i < chunks.size(); ++i)
-    batch.segments[0].push_back(
-        {i, 0, chunks[i].entry_count(), chunks[i].order});
-  return batch;
+  batch.rows = rows;
+  return run_merge_block<double>(batch, table,
+                                 std::span<const Chunk<double>>(chunks.list),
+                                 b, cfg, pool, kind, windows_done, 99);
 }
 
 Csr<double> empty_b() {
@@ -41,64 +74,50 @@ Csr<double> empty_b() {
 }
 
 TEST(Merge, TwoChunksCombineOverlappingColumns) {
-  std::vector<Chunk<double>> chunks;
-  chunks.push_back(row_chunk(3, {1, 5, 9}, {1.0, 2.0, 3.0}, 0, 0));
-  chunks.push_back(row_chunk(3, {5, 7}, {10.0, 20.0}, 1, 0));
-  const auto batch = single_row_batch(3, chunks);
+  Chunks chunks;
+  chunks.row(3, {1, 5, 9}, {1.0, 2.0, 3.0}, 0, 0);
+  chunks.row(3, {5, 7}, {10.0, 20.0}, 1, 0);
   ChunkPool pool(1 << 20);
   Config cfg;
-  const auto out = run_merge_block<double>(batch, chunks, empty_b(), cfg, pool,
-                                           MergeKind::Multi, 0, 99);
+  const auto out = merge(chunks, {3}, empty_b(), cfg, pool, MergeKind::Multi);
   ASSERT_EQ(out.chunks.size(), 1u);
   const auto& m = out.chunks[0];
-  EXPECT_EQ(m.rows, (std::vector<index_t>{3}));
-  EXPECT_EQ(m.cols, (std::vector<index_t>{1, 5, 7, 9}));
-  EXPECT_EQ(m.vals, (std::vector<double>{1.0, 12.0, 20.0, 3.0}));
+  EXPECT_EQ(vec(m.rows), (std::vector<index_t>{3}));
+  EXPECT_EQ(vec(m.cols), (std::vector<index_t>{1, 5, 7, 9}));
+  EXPECT_EQ(vec(m.vals), (std::vector<double>{1.0, 12.0, 20.0, 3.0}));
 }
 
 TEST(Merge, CombinesInChunkOrderForDeterminism) {
   // Equal columns must sum in ChunkOrder: (a + b) with a from the earlier
   // chunk — checked with values whose float sum is order-sensitive.
-  std::vector<Chunk<double>> chunks;
-  chunks.push_back(row_chunk(0, {4}, {1e16}, 2, 1));
-  chunks.push_back(row_chunk(0, {4}, {1.0}, 0, 0));   // earliest order
-  chunks.push_back(row_chunk(0, {4}, {-1e16}, 2, 5));
+  Chunks chunks;
+  chunks.row(0, {4}, {1e16}, 2, 1);
+  chunks.row(0, {4}, {1.0}, 0, 0);   // earliest order
+  chunks.row(0, {4}, {-1e16}, 2, 5);
   // Segments sorted by order: 1.0, 1e16, -1e16 -> ((1.0 + 1e16) - 1e16) = 0.
-  MergeBatch batch;
-  batch.rows = {0};
-  batch.segments.emplace_back();
-  batch.segments[0].push_back({1, 0, 1, chunks[1].order});
-  batch.segments[0].push_back({0, 0, 1, chunks[0].order});
-  batch.segments[0].push_back({2, 0, 1, chunks[2].order});
   ChunkPool pool(1 << 20);
   Config cfg;
-  const auto out = run_merge_block<double>(batch, chunks, empty_b(), cfg, pool,
-                                           MergeKind::Search, 0, 99);
+  const auto out = merge(chunks, {0}, empty_b(), cfg, pool, MergeKind::Search);
   ASSERT_EQ(out.chunks.size(), 1u);
   EXPECT_EQ(out.chunks[0].vals[0], (1.0 + 1e16) - 1e16);
 }
 
 TEST(Merge, MultiBatchSeveralRows) {
-  std::vector<Chunk<double>> chunks;
-  chunks.push_back(row_chunk(1, {0, 2}, {1.0, 1.0}, 0, 0));
-  chunks.push_back(row_chunk(1, {2, 4}, {1.0, 1.0}, 1, 0));
-  chunks.push_back(row_chunk(6, {3}, {5.0}, 0, 1));
-  chunks.push_back(row_chunk(6, {3}, {7.0}, 1, 1));
-  MergeBatch batch;
-  batch.rows = {1, 6};
-  batch.segments.resize(2);
-  batch.segments[0] = {{0, 0, 2, chunks[0].order}, {1, 0, 2, chunks[1].order}};
-  batch.segments[1] = {{2, 0, 1, chunks[2].order}, {3, 0, 1, chunks[3].order}};
+  Chunks chunks;
+  chunks.row(1, {0, 2}, {1.0, 1.0}, 0, 0);
+  chunks.row(1, {2, 4}, {1.0, 1.0}, 1, 0);
+  chunks.row(6, {3}, {5.0}, 0, 1);
+  chunks.row(6, {3}, {7.0}, 1, 1);
   ChunkPool pool(1 << 20);
   Config cfg;
-  const auto out = run_merge_block<double>(batch, chunks, empty_b(), cfg, pool,
-                                           MergeKind::Multi, 0, 99);
+  const auto out =
+      merge(chunks, {1, 6}, empty_b(), cfg, pool, MergeKind::Multi);
   ASSERT_EQ(out.chunks.size(), 1u);
   const auto& m = out.chunks[0];
-  EXPECT_EQ(m.rows, (std::vector<index_t>{1, 6}));
-  EXPECT_EQ(m.row_offsets, (std::vector<index_t>{0, 3, 4}));
-  EXPECT_EQ(m.cols, (std::vector<index_t>{0, 2, 4, 3}));
-  EXPECT_EQ(m.vals, (std::vector<double>{1.0, 2.0, 1.0, 12.0}));
+  EXPECT_EQ(vec(m.rows), (std::vector<index_t>{1, 6}));
+  EXPECT_EQ(vec(m.row_offsets), (std::vector<index_t>{0, 3, 4}));
+  EXPECT_EQ(vec(m.cols), (std::vector<index_t>{0, 2, 4, 3}));
+  EXPECT_EQ(vec(m.vals), (std::vector<double>{1.0, 2.0, 1.0, 12.0}));
 }
 
 TEST(Merge, WindowsSplitLargeRows) {
@@ -108,7 +127,7 @@ TEST(Merge, WindowsSplitLargeRows) {
   cfg.threads = 8;
   cfg.elements_per_thread = 4;  // capacity 32
   cfg.retain_per_thread = 2;
-  std::vector<Chunk<double>> chunks;
+  Chunks chunks;
   std::vector<index_t> cols_a, cols_b;
   std::vector<double> vals_a, vals_b;
   for (index_t c = 0; c < 50; ++c) {
@@ -117,12 +136,10 @@ TEST(Merge, WindowsSplitLargeRows) {
     cols_b.push_back(2 * c + 1);
     vals_b.push_back(2.0);
   }
-  chunks.push_back(row_chunk(0, cols_a, vals_a, 0, 0));
-  chunks.push_back(row_chunk(0, cols_b, vals_b, 1, 0));
-  const auto batch = single_row_batch(0, chunks);
+  chunks.row(0, cols_a, vals_a, 0, 0);
+  chunks.row(0, cols_b, vals_b, 1, 0);
   ChunkPool pool(1 << 20);
-  const auto out = run_merge_block<double>(batch, chunks, empty_b(), cfg, pool,
-                                           MergeKind::Path, 0, 99);
+  const auto out = merge(chunks, {0}, empty_b(), cfg, pool, MergeKind::Path);
   ASSERT_GT(out.chunks.size(), 1u);
   index_t total = 0;
   index_t prev_last = -1;
@@ -140,22 +157,22 @@ TEST(Merge, PointerChunksMaterializeFromB) {
   for (index_t c = 10; c < 20; ++c) bcoo.push(7, c, 0.5 * (c - 9));
   const auto b = bcoo.to_csr();
 
-  std::vector<Chunk<double>> chunks;
-  Chunk<double> pointer;
+  Chunks chunks;
+  const ChunkSlot<double> slot = chunks.store.place<double>(1, 0);
+  slot.rows[0] = 2;
+  slot.row_offsets[0] = 0;
+  slot.row_offsets[1] = 10;
+  Chunk<double> pointer = slot.chunk({0, 0});
   pointer.is_long_row = true;
-  pointer.rows = {2};
   pointer.b_row = 7;
   pointer.factor = 2.0;
   pointer.long_len = 10;
-  pointer.order = {0, 0};
-  chunks.push_back(std::move(pointer));
-  chunks.push_back(row_chunk(2, {12, 50}, {100.0, 1.0}, 1, 0));
+  chunks.list.push_back(pointer);
+  chunks.row(2, {12, 50}, {100.0, 1.0}, 1, 0);
 
-  const auto batch = single_row_batch(2, chunks);
   ChunkPool pool(1 << 20);
   Config cfg;
-  const auto out = run_merge_block<double>(batch, chunks, b, cfg, pool,
-                                           MergeKind::Search, 0, 99);
+  const auto out = merge(chunks, {2}, b, cfg, pool, MergeKind::Search);
   ASSERT_EQ(out.chunks.size(), 1u);
   const auto& m = out.chunks[0];
   ASSERT_EQ(m.entry_count(), 11);  // cols 10..19 plus 50
@@ -174,17 +191,15 @@ TEST(Merge, DegenerateOversizedGroupChargesFlops) {
   // wn-1 additions must show up in the metrics like the compaction path's
   // combines do.
   constexpr std::size_t kDup = 33000;  // > compaction_detail::kCounterMask
-  std::vector<Chunk<double>> chunks;
-  chunks.push_back(row_chunk(4, std::vector<index_t>(kDup, 17),
-                             std::vector<double>(kDup, 0.25), 0, 0));
-  const auto batch = single_row_batch(4, chunks);
+  Chunks chunks;
+  chunks.row(4, std::vector<index_t>(kDup, 17),
+             std::vector<double>(kDup, 0.25), 0, 0);
   ChunkPool pool(1 << 20);
   Config cfg;
-  const auto out = run_merge_block<double>(batch, chunks, empty_b(), cfg, pool,
-                                           MergeKind::Multi, 0, 99);
+  const auto out = merge(chunks, {4}, empty_b(), cfg, pool, MergeKind::Multi);
   ASSERT_EQ(out.chunks.size(), 1u);
-  EXPECT_EQ(out.chunks[0].cols, (std::vector<index_t>{17}));
-  EXPECT_EQ(out.chunks[0].vals, (std::vector<double>{kDup * 0.25}));
+  EXPECT_EQ(vec(out.chunks[0].cols), (std::vector<index_t>{17}));
+  EXPECT_EQ(vec(out.chunks[0].vals), (std::vector<double>{kDup * 0.25}));
   EXPECT_GE(out.metrics.flops, kDup - 1);
 }
 
@@ -193,7 +208,7 @@ TEST(Merge, RestartResumesAtWindow) {
   cfg.threads = 8;
   cfg.elements_per_thread = 4;  // capacity 32: several windows
   cfg.retain_per_thread = 2;
-  std::vector<Chunk<double>> chunks;
+  Chunks chunks;
   std::vector<index_t> cols1, cols2;
   std::vector<double> vals1, vals2;
   for (index_t c = 0; c < 60; ++c) {
@@ -202,18 +217,16 @@ TEST(Merge, RestartResumesAtWindow) {
     cols2.push_back(c);
     vals2.push_back(2.0);
   }
-  chunks.push_back(row_chunk(0, cols1, vals1, 0, 0));
-  chunks.push_back(row_chunk(0, cols2, vals2, 1, 0));
-  const auto batch = single_row_batch(0, chunks);
+  chunks.row(0, cols1, vals1, 0, 0);
+  chunks.row(0, cols2, vals2, 1, 0);
 
   ChunkPool tiny(700);  // fits roughly one window chunk
   std::vector<Chunk<double>> produced;
   std::size_t windows_done = 0;
   int rounds = 0;
   for (;;) {
-    const auto out = run_merge_block<double>(batch, chunks, empty_b(), Config(cfg),
-                                             tiny, MergeKind::Search,
-                                             windows_done, 99);
+    const auto out = merge(chunks, {0}, empty_b(), cfg, tiny,
+                           MergeKind::Search, windows_done);
     for (const auto& c : out.chunks) produced.push_back(c);
     windows_done = out.windows_done;
     if (!out.needs_restart) break;

@@ -2,12 +2,18 @@
 
 #include <atomic>
 #include <cstdint>
+#include <fstream>
 #include <future>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#if defined(__linux__)
+#include <unistd.h>
+#endif
+
+#include "arch/arch_id.hpp"
 #include "core/acspgemm.hpp"
 #include "fault/policies.hpp"
 #include "matrix/generators.hpp"
@@ -144,36 +150,91 @@ TEST(PlanCache, ArchKeysAreIsolatedEntries) {
 
 // --- PoolArena ------------------------------------------------------------
 
-TEST(PoolArena, RecyclesReleasedCapacity) {
+TEST(PoolArena, RecyclesReturnedRegions) {
   PoolArena arena;
-  const auto l1 = arena.acquire(1000);
-  EXPECT_EQ(l1.bytes, 1000u);
-  EXPECT_EQ(l1.reused_bytes, 0u);
+  PoolArena::Lease first(arena);
+  std::byte* r1 = first.take_region();
+  std::byte* r2 = first.take_region();
+  EXPECT_NE(r1, r2);
+  EXPECT_EQ(first.reused_bytes(), 0u);
+  first.give_back(r1);
+  first.give_back(r2);
+  EXPECT_EQ(arena.free_bytes(), 2 * kPoolRegionBytes);
 
-  arena.release(1500);  // the job's pool grew by restarts
-  const auto l2 = arena.acquire(1200);
-  EXPECT_EQ(l2.bytes, 1500u);  // whole slab handed out
-  EXPECT_EQ(l2.reused_bytes, 1200u);
-
-  arena.release(1500);
-  const auto l3 = arena.acquire(4000);  // grows the largest slab
-  EXPECT_EQ(l3.bytes, 4000u);
-  EXPECT_EQ(l3.reused_bytes, 1500u);
+  // The next job draws both back, then needs one more: a fresh region.
+  PoolArena::Lease second(arena);
+  std::byte* r3 = second.take_region();
+  std::byte* r4 = second.take_region();
+  std::byte* r5 = second.take_region();
+  EXPECT_TRUE((r3 == r1 && r4 == r2) || (r3 == r2 && r4 == r1));
+  EXPECT_EQ(second.reused_bytes(), 2 * kPoolRegionBytes);
+  EXPECT_EQ(arena.free_bytes(), 0u);
 
   const auto c = arena.counters();
-  EXPECT_EQ(c.high_water_bytes, 1500u);
+  EXPECT_EQ(c.acquires, 5u);
   EXPECT_EQ(c.reuse_hits, 2u);
-  EXPECT_EQ(c.fresh_bytes, 1000u + 2500u);
-  EXPECT_EQ(c.outstanding, 1u);  // three acquires, two releases
+  EXPECT_EQ(c.reused_bytes, 2 * kPoolRegionBytes);
+  EXPECT_EQ(c.fresh_bytes, 3 * kPoolRegionBytes);
+  EXPECT_EQ(c.high_water_bytes, 3 * kPoolRegionBytes);
+  EXPECT_EQ(c.outstanding, 3u);
+  for (std::byte* r : {r3, r4, r5}) second.give_back(r);
+  EXPECT_EQ(arena.counters().outstanding, 0u);
+  EXPECT_EQ(arena.free_bytes(), 3 * kPoolRegionBytes);
 }
 
-TEST(PoolArena, BestFitPrefersSmallestSufficientSlab) {
+TEST(PoolArena, HandsOutTheLastReturnedRegionFirst) {
+  // The most recently returned region is the likeliest to have its pages
+  // backed still, so it goes out first.
   PoolArena arena;
-  arena.release(1 << 20);
-  arena.release(64 << 10);
-  const auto lease = arena.acquire(10 << 10);
-  EXPECT_EQ(lease.bytes, std::size_t{64} << 10);
-  EXPECT_EQ(arena.free_bytes(), std::size_t{1} << 20);
+  PoolArena::Lease lease(arena);
+  std::byte* a = lease.take_region();
+  std::byte* b = lease.take_region();
+  lease.give_back(a);
+  lease.give_back(b);
+  std::byte* first = lease.take_region();
+  std::byte* second = lease.take_region();
+  EXPECT_EQ(first, b);
+  EXPECT_EQ(second, a);
+  lease.give_back(first);
+  lease.give_back(second);
+}
+
+#if defined(__linux__)
+/// Resident set of this process, from /proc/self/statm.
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t pages_total = 0, pages_resident = 0;
+  statm >> pages_total >> pages_resident;
+  return pages_resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+#endif
+
+TEST(PoolArena, FloorCostsAddressSpaceNotMemory) {
+#if defined(__linux__)
+  // The default Config's pool is at least the paper's 100 MB floor, yet a
+  // small product writes a few pages of it. The arena keeps the regions
+  // the call drew, so the resident set after the call still holds every
+  // page taking or reserving them touched: taking a region must not touch
+  // or zero-fill it.
+  const auto a = gen_uniform_random<double>(200, 200, 8.0, 2.0, 71);
+  const Config cfg;
+  PoolArena arena;
+  SpgemmPlan plan;
+  SpgemmStats stats;
+  const std::size_t before = resident_bytes();
+  {
+    PoolArena::Lease lease(arena);
+    const auto c = multiply_planned(a, a, cfg, plan, &stats, nullptr, &lease);
+    EXPECT_TRUE(c.equals_exact(multiply(a, a, cfg)));
+  }
+  const std::size_t after = resident_bytes();
+  EXPECT_GE(stats.pool_bytes, std::size_t{100} << 20);
+  EXPECT_GE(arena.free_bytes(), kPoolRegionBytes);  // the regions are kept
+  EXPECT_LT(after, before + (std::size_t{16} << 20))
+      << "resident set rose by " << (after - before) << " bytes";
+#else
+  GTEST_SKIP() << "reads /proc/self/statm";
+#endif
 }
 
 // --- multiply_planned (core plan-in/plan-out entry point) -----------------
@@ -308,6 +369,51 @@ TEST(Engine, WarmPlanSkipsSetupAndEliminatesRestarts) {
   EXPECT_EQ(engine.plan_counters().hits, 1u);
   EXPECT_EQ(engine.plan_counters().misses, 1u);
   EXPECT_EQ(engine.arena_counters().reuse_hits, 1u);
+}
+
+TEST(Engine, RecyclesPoolRegionsAcrossJobs) {
+  // A block-dense job, a small one, then the block-dense job again: the
+  // third draws every region it needs from the arena, so the engine allocates
+  // no fresh pool memory for it. With each job's first allocation denied,
+  // every job restarts, and a restart that adds a region to a recycled
+  // lease keeps the bits too.
+  const auto dense = gen_block_dense<double>(2000, 2000, 16, 4, 72);
+  const auto small = gen_uniform_random<double>(300, 300, 6.0, 2.0, 73);
+  for (const bool deny_first : {false, true}) {
+    EngineConfig ec;
+    ec.workers = 1;
+    ec.arch = arch::ArchId::kNativeCpu;
+    ec.native_threads = 4;
+    if (deny_first)
+      ec.make_alloc_policy = [](std::size_t) {
+        return std::make_unique<fault::DenyNthPolicy>(0);
+      };
+    Config cfg;
+    apply_arch(cfg, ec);
+    const auto want_dense = multiply(dense, dense, cfg);
+    const auto want_small = multiply(small, small, cfg);
+
+    Engine<double> engine(ec);
+    auto h1 = engine.submit(dense, dense);
+    const auto& first = h1.result();
+    const std::size_t fresh = engine.arena_counters().fresh_bytes;
+    EXPECT_GT(fresh, 0u);
+    auto h2 = engine.submit(small, small);
+    const auto& second = h2.result();
+    auto h3 = engine.submit(dense, dense);
+    const auto& third = h3.result();
+    EXPECT_EQ(engine.arena_counters().fresh_bytes, fresh)
+        << "deny_first " << deny_first;
+    EXPECT_GT(third.pool_reused_bytes, 0u);
+    EXPECT_TRUE(first.c.equals_exact(want_dense)) << "deny_first " << deny_first;
+    EXPECT_TRUE(second.c.equals_exact(want_small)) << "deny_first " << deny_first;
+    EXPECT_TRUE(third.c.equals_exact(want_dense)) << "deny_first " << deny_first;
+    if (deny_first) {
+      EXPECT_GT(first.stats.restarts, 0);
+      EXPECT_GT(third.stats.restarts, 0);
+    }
+    EXPECT_EQ(engine.arena_counters().outstanding, 0u);
+  }
 }
 
 std::vector<Csr<double>> run_mixed_batch(unsigned workers) {
@@ -490,8 +596,8 @@ TEST(Engine, FailedJobRethrowsAndEngineKeepsWorking) {
 }
 
 TEST(Engine, SampledPoolSizingChecksDimensionsFirst) {
-  // A cold job prices its pool before the pipeline runs; the dimension
-  // check must come first, and the failure lands on the job.
+  // A cold job's pool is priced from A's column ids into B's rows; the
+  // dimension check must come first, and the failure lands on the job.
   const auto b = gen_uniform_random<double>(8, 8, 3.0, 1.0, 64);
   const auto a = testutil::single_entry<double>(4, 9, 8);
   Config cfg;
