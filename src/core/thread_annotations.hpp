@@ -29,7 +29,6 @@
 ///   * the acquires-while-holding order over all mutexes is ranked in
 ///     tools/lint/lock_order.toml and checked acyclic by the linter.
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -129,14 +128,6 @@ class CondVar {
   /// Park until notified (spurious wakeups possible — loop on the
   /// predicate). `lock` must hold the mutex guarding the predicate state.
   void wait(MutexLock& lock) { cv_.wait(lock.lock_); }
-
-  /// Park until notified or `rel_time` elapsed (predicate loops that also
-  /// poll a deadline, e.g. the background tuner's deferral window).
-  template <class Rep, class Period>
-  std::cv_status wait_for(MutexLock& lock,
-                          const std::chrono::duration<Rep, Period>& rel_time) {
-    return cv_.wait_for(lock.lock_, rel_time);
-  }
 
   void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }

@@ -82,9 +82,7 @@ std::vector<JobResult<T>> Engine<T>::multiply_batch(
   for (auto& h : handles) {
     // Not h.result(): that rethrows, which would abandon the remaining
     // handles' results. Failures travel on JobResult::error instead.
-    h.wait();
-    acs::MutexLock lock(h.state_->job_m);
-    results.push_back(std::move(h.state_->result));
+    results.push_back(std::move(h.state_->result.wait()));
   }
   return results;
 }
@@ -125,8 +123,8 @@ void Engine<T>::work_loop() {
       // run_job failed outside its own handler (e.g. an allocation while
       // publishing the result). Fail this job only — never the worker: an
       // escaped exception here would leave in_flight_ stuck above zero and
-      // wedge wait_all() and the destructor. complete() is idempotent, so
-      // re-completing a job that already published is a no-op.
+      // wedge wait_all() and the destructor. The first publication wins,
+      // so re-completing a job that already published is a no-op.
       std::exception_ptr e = std::current_exception();
       {
         acs::MutexLock lock(m_);
@@ -145,7 +143,7 @@ void Engine<T>::work_loop() {
           // to report to; the original error stands.
         }
       }
-      job->complete(std::move(failed), e);
+      job->result.complete(std::move(failed));
     }
     acs::MutexLock lock(m_);
     if (--in_flight_ == 0) idle_cv_.notify_all();
@@ -219,7 +217,7 @@ void Engine<T>::run_job(detail::JobState<T>& job, WorkerContext& ctx) {
   // hook out guarantees exactly-once even if it throws and the work_loop
   // safety net re-reports the job.
   if (auto cb = std::exchange(job.on_complete, nullptr)) cb(result);
-  job.complete(std::move(result), error);
+  job.result.complete(std::move(result));
 }
 
 template class Engine<float>;

@@ -38,6 +38,7 @@
 #include "core/acspgemm.hpp"
 #include "core/chunk.hpp"
 #include "core/thread_annotations.hpp"
+#include "runtime/completion.hpp"
 #include "runtime/plan_cache.hpp"
 #include "runtime/pool_arena.hpp"
 #include "trace/metrics.hpp"
@@ -133,26 +134,8 @@ struct JobState {
   /// handle — the callback has the JobResult to itself, no handle waiter
   /// can observe or move it concurrently. See Engine::submit overload.
   std::function<void(JobResult<T>&)> on_complete;
-
-  acs::Mutex job_m;
-  acs::CondVar cv;
-  bool done ACS_GUARDED_BY(job_m) = false;
-  JobResult<T> result ACS_GUARDED_BY(job_m);
-  std::exception_ptr error ACS_GUARDED_BY(job_m);
-
-  /// Publish the job's outcome. Idempotent: the first completion wins, so a
-  /// worker that fails while publishing can be completed again by its
-  /// work_loop safety net without clobbering an already-delivered result.
-  void complete(JobResult<T> r, std::exception_ptr e) ACS_EXCLUDES(job_m) {
-    {
-      acs::MutexLock lock(job_m);
-      if (done) return;
-      result = std::move(r);
-      error = e;
-      done = true;
-    }
-    cv.notify_all();
-  }
+  /// The job's outcome, failures included (`JobResult::error`).
+  Completion<JobResult<T>> result;
 };
 
 }  // namespace detail
@@ -169,27 +152,17 @@ class JobHandle {
 
   [[nodiscard]] bool valid() const { return state_ != nullptr; }
 
-  [[nodiscard]] bool ready() const {
-    acs::MutexLock lock(state_->job_m);
-    return state_->done;
-  }
+  [[nodiscard]] bool ready() const { return state_->result.ready(); }
 
-  void wait() const {
-    acs::MutexLock lock(state_->job_m);
-    while (!state_->done) state_->cv.wait(lock);
-  }
+  void wait() const { (void)state_->result.wait(); }
 
   /// Block until the job finishes; rethrows the job's exception (e.g.
   /// dimension mismatch) if it failed. The reference stays valid as long as
   /// any handle to the job exists.
   [[nodiscard]] JobResult<T>& result() const {
-    wait();
-    // Relocking after wait() keeps the guarded reads provable; once `done`
-    // is set the state is immutable (complete() is first-writer-wins), so
-    // the returned reference stays safe to use unlocked.
-    acs::MutexLock lock(state_->job_m);
-    if (state_->error) std::rethrow_exception(state_->error);
-    return state_->result;
+    JobResult<T>& r = state_->result.wait();
+    if (r.failed()) std::rethrow_exception(r.error);
+    return r;
   }
 
  private:

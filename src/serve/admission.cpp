@@ -12,17 +12,14 @@ const char* to_string(AdmissionOutcome outcome) {
       return "rejected_deadline";
     case AdmissionOutcome::kRejectedQuota:
       return "rejected_quota";
-    case AdmissionOutcome::kRejectedQueueFull:
-      return "rejected_queue_full";
     case AdmissionOutcome::kShedMemory:
       return "shed_memory";
   }
   return "unknown";
 }
 
-AdmissionModel::AdmissionModel(AdmissionConfig cfg) : cfg_(cfg) {
-  free_s_.assign(std::max(1u, cfg_.executors), 0.0);
-}
+AdmissionModel::AdmissionModel(AdmissionConfig cfg)
+    : free_s_(std::max(1u, cfg.executors), 0.0) {}
 
 std::size_t AdmissionModel::backlog_jobs(double now_s) {
   finishes_.erase(finishes_.begin(), finishes_.upper_bound(now_s));
@@ -32,8 +29,7 @@ std::size_t AdmissionModel::backlog_jobs(double now_s) {
 AdmissionDecision AdmissionModel::evaluate(double arrival_s, double deadline_s,
                                            double predicted_cost_s) {
   AdmissionDecision d;
-  d.predicted_cost_s =
-      std::max(0.0, predicted_cost_s) * std::max(1.0, cfg_.deadline_safety);
+  d.predicted_cost_s = std::max(0.0, predicted_cost_s);
   d.backlog_jobs = backlog_jobs(arrival_s);
 
   // Earliest modeled executor; a backlog already drained by `arrival_s`
@@ -44,10 +40,6 @@ AdmissionDecision AdmissionModel::evaluate(double arrival_s, double deadline_s,
   d.predicted_wait_s = start_s - arrival_s;
   d.predicted_finish_s = start_s + d.predicted_cost_s;
 
-  if (cfg_.max_queue_jobs > 0 && d.backlog_jobs >= cfg_.max_queue_jobs) {
-    d.outcome = AdmissionOutcome::kRejectedQueueFull;
-    return d;
-  }
   if (d.predicted_finish_s > deadline_s) {
     d.outcome = AdmissionOutcome::kRejectedDeadline;
     return d;

@@ -28,7 +28,6 @@ enum class AdmissionOutcome {
   kAdmitted = 0,        ///< queued for dispatch; deadline predicted to hold
   kRejectedDeadline,    ///< predicted finish (backlog + cost) past deadline
   kRejectedQuota,       ///< tenant token bucket empty
-  kRejectedQueueFull,   ///< modeled backlog at the queue cap
   kShedMemory,          ///< admitted, later dropped under the arena ceiling
 };
 
@@ -38,8 +37,7 @@ enum class AdmissionOutcome {
 /// virtual/simulated seconds from the deterministic admission model.
 struct AdmissionDecision {
   AdmissionOutcome outcome = AdmissionOutcome::kAdmitted;
-  /// Predicted device makespan of this job (tune::predict_makespan_s,
-  /// scaled by the configured safety factor).
+  /// Predicted device makespan of this job (tune::predict_makespan_s).
   double predicted_cost_s = 0.0;
   /// Predicted queueing delay ahead of this job at admission time.
   double predicted_wait_s = 0.0;
@@ -61,13 +59,6 @@ struct AdmissionConfig {
   /// (never derived from live state) so decisions stay independent of the
   /// real worker count.
   unsigned executors = 1;
-  /// Multiplier on predicted costs before the deadline test; > 1 buys
-  /// headroom against predictor underestimates and fair-scheduling
-  /// reordering.
-  double deadline_safety = 1.0;
-  /// Reject when the modeled backlog holds this many admitted jobs
-  /// (0 = unlimited).
-  std::size_t max_queue_jobs = 0;
 };
 
 /// Deterministic virtual-time admission model. Not thread-safe: the server
@@ -79,9 +70,8 @@ class AdmissionModel {
 
   /// Evaluate one submission and, when it is admitted, commit its cost to
   /// the modeled backlog. `deadline_s` is absolute virtual time
-  /// (infinity = no deadline); `predicted_cost_s` is the unscaled
-  /// predictor makespan. Arrivals must be non-decreasing (the server
-  /// clamps them).
+  /// (infinity = no deadline); `predicted_cost_s` is the predictor's
+  /// makespan. Arrivals must be non-decreasing (the server clamps them).
   AdmissionDecision evaluate(double arrival_s, double deadline_s,
                              double predicted_cost_s);
 
@@ -89,7 +79,6 @@ class AdmissionModel {
   [[nodiscard]] std::size_t backlog_jobs(double now_s);
 
  private:
-  AdmissionConfig cfg_;
   /// Virtual time each modeled executor becomes free.
   std::vector<double> free_s_;
   /// Modeled finish times of admitted jobs (pruned as the clock advances).

@@ -21,7 +21,7 @@ namespace acs::serve {
 /// One admitted job waiting for dispatch, as the scheduler sees it.
 struct QueuedJob {
   std::uint64_t id = 0;     ///< server-side submission sequence number
-  double cost_s = 0.0;      ///< predicted (safety-scaled) service time
+  double cost_s = 0.0;      ///< predicted service time
   int priority = 0;         ///< shed victims are picked lowest-first
   double arrival_s = 0.0;   ///< virtual arrival (shed tie-break: latest)
 };

@@ -25,14 +25,9 @@ const char* to_string(ServeStatus status) {
 template <class T>
 Server<T>::Server(ServerConfig config)
     : cfg_(std::move(config)),
+      tuner_(tune::default_tuner_options(cfg_.engine.arch)),
       admission_(cfg_.admission),
       drr_(cfg_.drr_quantum_s) {
-  // Per-arch tuner grids: a tuner left at the stock nnz_per_block grid
-  // picks up the arch's default (SimBigDevice extends it upward). An
-  // explicitly customized grid wins.
-  if (cfg_.tuner.nnz_per_block == tune::TunerOptions{}.nnz_per_block)
-    cfg_.tuner.nnz_per_block =
-        tune::default_tuner_options(cfg_.engine.arch).nnz_per_block;
   const std::size_t executors = std::max(1u, cfg_.admission.executors);
   vfree_.assign(executors, 0.0);
   vbytes_.assign(executors, 0);
@@ -40,7 +35,6 @@ Server<T>::Server(ServerConfig config)
   // deterministic DRR visiting order); unknown tenants join on first use.
   for (const TenantConfig& tc : cfg_.tenants) (void)ensure_tenant_locked(tc.name);
   engine_ = std::make_unique<runtime::Engine<T>>(cfg_.engine);
-  max_outstanding_ = engine_->workers() + cfg_.dispatch_slack;
 }
 
 template <class T>
@@ -106,8 +100,8 @@ ServeHandle<T> Server<T>::submit(Csr<T> a, Csr<T> b, SubmitInfo info,
   PredictionEntry& pe = predictions_[fp];
   const bool first_sight = !pe.have_features;
   if (first_sight) {
-    pe.features = tune::extract_features(a, b, cfg_.tuner.sample_stride,
-                                         cfg_.tuner.min_samples);
+    pe.features = tune::extract_features(a, b, tuner_.options().sample_stride,
+                                         tuner_.options().min_samples);
     pe.have_features = true;
     pe.tune_ready_s = arrival + cfg_.tune_latency_s;
     pe.tune_base = cfg;
@@ -122,39 +116,28 @@ ServeHandle<T> Server<T>::submit(Csr<T> a, Csr<T> b, SubmitInfo info,
   // Admission costs are always predicted under the *submitted* Config, not
   // the tuned one — the overlay is only decided at the fingerprint's first
   // dispatch, after admission.
-  const double raw_cost = tune::predict_makespan_s(pe.features, cfg, sizeof(T));
-  const double scaled_cost = std::max(0.0, raw_cost) *
-                             std::max(1.0, cfg_.admission.deadline_safety);
+  const double cost =
+      std::max(0.0, tune::predict_makespan_s(pe.features, cfg, sizeof(T)));
 
   TenantRuntime& tr = tenants_[tidx];
   AdmissionDecision d;
   // Quota pre-check without consuming (an admission-rejected job must not
   // burn tokens); the slack mirrors TokenBucket::try_consume's.
-  if (!tr.bucket.unmetered() &&
-      tr.bucket.available(arrival) + 1e-12 < scaled_cost) {
+  if (!tr.bucket.unmetered() && tr.bucket.available(arrival) + 1e-12 < cost) {
     d.outcome = AdmissionOutcome::kRejectedQuota;
-    d.predicted_cost_s = scaled_cost;
+    d.predicted_cost_s = cost;
     d.backlog_jobs = admission_.backlog_jobs(arrival);
   } else {
-    d = admission_.evaluate(arrival, info.deadline_s, raw_cost);
-    if (d.admitted()) (void)tr.bucket.try_consume(arrival, scaled_cost);
+    d = admission_.evaluate(arrival, info.deadline_s, cost);
+    if (d.admitted()) (void)tr.bucket.try_consume(arrival, cost);
   }
   state->decision = d;
 
   if (!d.admitted()) {
-    switch (d.outcome) {
-      case AdmissionOutcome::kRejectedDeadline:
-        ++tr.stats.rejected_deadline;
-        break;
-      case AdmissionOutcome::kRejectedQuota:
-        ++tr.stats.rejected_quota;
-        break;
-      case AdmissionOutcome::kRejectedQueueFull:
-        ++tr.stats.rejected_queue_full;
-        break;
-      default:
-        break;
-    }
+    if (d.outcome == AdmissionOutcome::kRejectedQuota)
+      ++tr.stats.rejected_quota;
+    else
+      ++tr.stats.rejected_deadline;
     ServeResult<T> r;
     r.status = ServeStatus::kRejected;
     r.admission = d;
@@ -162,7 +145,7 @@ ServeHandle<T> Server<T>::submit(Csr<T> a, Csr<T> b, SubmitInfo info,
     r.priority = info.priority;
     r.arrival_s = arrival;
     r.degraded = degraded;
-    state->resolve(std::move(r));
+    state->result.complete(std::move(r));
     return ServeHandle<T>(std::move(state));
   }
 
@@ -280,7 +263,7 @@ void Server<T>::resolve_shed_locked(JobRec rec) {
   // The handle's decision stays "admitted" (it was); the result records
   // what ultimately happened.
   r.admission.outcome = AdmissionOutcome::kShedMemory;
-  rec.state->resolve(std::move(r));
+  rec.state->result.complete(std::move(r));
   --unresolved_;
   drain_cv_.notify_all();
 }
@@ -304,7 +287,9 @@ ServeResult<T> Server<T>::make_result_locked(const JobRec& rec,
 template <class T>
 void Server<T>::pump_locked() {
   const std::size_t ceiling = cfg_.arena_ceiling_bytes;
-  while (outstanding_ < max_outstanding_ && !ready_.empty()) {
+  // One job beyond the engine's workers, so a finishing worker never idles
+  // waiting for the server.
+  while (outstanding_ < engine_->workers() + 1u && !ready_.empty()) {
     // Real backpressure mirrors the virtual gate: never stack predicted
     // pool demand past the ceiling (unless the job would be alone).
     if (ceiling > 0 && outstanding_ > 0 &&
@@ -334,7 +319,7 @@ void Server<T>::pump_locked() {
           proto.job = std::move(jr);
           // Resolve before the accounting decrement: once drain() sees
           // unresolved_ == 0, every handle is guaranteed resolved.
-          st->resolve(std::move(proto));
+          st->result.complete(std::move(proto));
           {
             acs::MutexLock lock(m_);
             --outstanding_;
@@ -358,8 +343,7 @@ TunedParams Server<T>::ensure_tuned_locked(const runtime::Fingerprint& fp) {
   if (!pe.tuned_computed) {
     // A pure function of (features, first-submitted Config): the overlay
     // does not depend on which dispatch computes it.
-    pe.tuned = tune::AutoTuner(cfg_.tuner).choose(pe.features, pe.tune_base,
-                                                  sizeof(T));
+    pe.tuned = tuner_.choose(pe.features, pe.tune_base, sizeof(T));
     pe.tuned_computed = true;
     ++tunes_;
   }
@@ -384,8 +368,7 @@ ServeStats Server<T>::stats() const {
     s.tenants.push_back(t);
     s.submitted += t.submitted;
     s.admitted += t.admitted;
-    s.rejected +=
-        t.rejected_deadline + t.rejected_quota + t.rejected_queue_full;
+    s.rejected += t.rejected_deadline + t.rejected_quota;
     s.shed += t.shed;
     s.completed += t.completed;
     s.failed += t.failed;

@@ -57,6 +57,7 @@
 #include "core/plan.hpp"
 #include "core/thread_annotations.hpp"
 #include "matrix/csr.hpp"
+#include "runtime/completion.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/fingerprint.hpp"
 #include "serve/admission.hpp"
@@ -86,17 +87,16 @@ struct ServerConfig {
   /// header), so every result stays reconstructible.
   runtime::EngineConfig engine;
   std::vector<TenantConfig> tenants;
-  /// Deadline-based admission control (modeled executors, safety factor,
-  /// backlog cap). `executors` also sizes the virtual dispatch timeline.
+  /// Deadline-based admission control over modeled executors, which also
+  /// size the virtual dispatch timeline.
   AdmissionConfig admission;
   /// DRR deficit quantum in predicted cost-seconds per round-robin visit.
   double drr_quantum_s = 1e-3;
   /// Server-side cost-model tuning: one `AutoTuner::choose` per structure
-  /// fingerprint over the whole `tuner` grid, applied to every job of that
-  /// fingerprint. Off: every job runs its submitted Config and nothing is
-  /// ever `degraded`.
+  /// fingerprint over `tune::default_tuner_options(engine.arch)`, applied
+  /// to every job of that fingerprint. Off: every job runs its submitted
+  /// Config and nothing is ever `degraded`.
   bool tuning = true;
-  tune::TunerOptions tuner;
   /// Modeled virtual latency between the first request of a fingerprint
   /// and its tune counting as warm. The first submission is always
   /// degraded; later ones are degraded while `arrival < first + latency`.
@@ -110,9 +110,6 @@ struct ServerConfig {
   /// While the virtual timeline is memory-gated, queued jobs beyond this
   /// count are shed lowest-priority-first; 0 = never shed (jobs wait).
   std::size_t shed_queue_jobs = 0;
-  /// Real-dispatch lookahead: jobs handed to the engine beyond its worker
-  /// count, so a finishing worker never idles waiting for the server.
-  std::size_t dispatch_slack = 1;
 };
 
 /// Terminal state of a submission.
@@ -172,21 +169,7 @@ template <class T>
 struct ServeState {
   /// Set before the handle is returned; immutable afterwards.
   AdmissionDecision decision;
-
-  acs::Mutex serve_m;
-  acs::CondVar cv;
-  bool done ACS_GUARDED_BY(serve_m) = false;
-  ServeResult<T> result ACS_GUARDED_BY(serve_m);
-
-  void resolve(ServeResult<T> r) ACS_EXCLUDES(serve_m) {
-    {
-      acs::MutexLock lock(serve_m);
-      if (done) return;
-      result = std::move(r);
-      done = true;
-    }
-    cv.notify_all();
-  }
+  runtime::Completion<ServeResult<T>> result;
 };
 
 }  // namespace detail
@@ -210,27 +193,14 @@ class ServeHandle {
     return state_->decision;
   }
 
-  [[nodiscard]] bool ready() const {
-    acs::MutexLock lock(state_->serve_m);
-    return state_->done;
-  }
+  [[nodiscard]] bool ready() const { return state_->result.ready(); }
 
-  void wait() const {
-    acs::MutexLock lock(state_->serve_m);
-    while (!state_->done) state_->cv.wait(lock);
-  }
+  void wait() const { (void)state_->result.wait(); }
 
   /// Block until the submission resolves. Never throws: engine failures
   /// surface as `status == kFailed` with `job.error` set. The reference
   /// stays valid as long as any handle to the submission exists.
-  [[nodiscard]] ServeResult<T>& result() const {
-    wait();
-    // Relock for the guarded read; once `done` is set the result is
-    // immutable (resolve() is first-writer-wins), so the returned
-    // reference stays safe to use unlocked.
-    acs::MutexLock lock(state_->serve_m);
-    return state_->result;
-  }
+  [[nodiscard]] ServeResult<T>& result() const { return state_->result.wait(); }
 
  private:
   friend class Server<T>;
@@ -250,7 +220,6 @@ struct TenantStats {
   std::uint64_t admitted = 0;
   std::uint64_t rejected_deadline = 0;
   std::uint64_t rejected_quota = 0;
-  std::uint64_t rejected_queue_full = 0;
   std::uint64_t shed = 0;
   std::uint64_t completed = 0;  ///< successfully served
   std::uint64_t failed = 0;
@@ -262,7 +231,7 @@ struct TenantStats {
 };
 
 /// Server-wide statistics. `submitted` through `deadline_misses` are sums of
-/// the tenant rows (`rejected` folds the three refusal kinds together).
+/// the tenant rows (`rejected` folds the two refusal kinds together).
 struct ServeStats {
   std::vector<TenantStats> tenants;
   std::uint64_t submitted = 0;
@@ -335,7 +304,7 @@ class Server {
     Config cfg;  ///< as submitted; the overlay is applied at dispatch
     runtime::Fingerprint fp;
     bool degraded = false;
-    double cost_s = 0.0;            ///< safety-scaled predicted makespan
+    double cost_s = 0.0;            ///< predicted makespan
     std::size_t pool_bytes = 0;     ///< predicted chunk-pool demand
     AdmissionDecision decision;
     double virtual_start_s = 0.0;   ///< filled at virtual dispatch
@@ -359,7 +328,7 @@ class Server {
   /// Shed queued jobs beyond `shed_queue_jobs` (memory-gated path only).
   void shed_over_cap_locked() ACS_REQUIRES(m_);
   void resolve_shed_locked(JobRec rec) ACS_REQUIRES(m_);
-  /// Hand ready jobs to the engine, bounded by workers + dispatch_slack
+  /// Hand ready jobs to the engine, bounded by one job beyond its workers
   /// and by the arena ceiling over real in-flight predicted pool bytes.
   void pump_locked() ACS_REQUIRES(m_);
   /// Tuned overlay for `fp`, computed by `AutoTuner::choose` at its first
@@ -370,7 +339,8 @@ class Server {
       ACS_REQUIRES(m_);
 
   ServerConfig cfg_;
-  std::size_t max_outstanding_ = 1;
+  /// Tunes under the engine's arch (`tune::default_tuner_options`).
+  const tune::AutoTuner tuner_;
 
   mutable acs::Mutex m_;
   acs::CondVar drain_cv_;

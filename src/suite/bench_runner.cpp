@@ -1,14 +1,40 @@
 #include "suite/bench_runner.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 
 #include "core/acspgemm.hpp"
+#include "core/chunk.hpp"
 #include "matrix/stats.hpp"
 #include "matrix/transpose.hpp"
 
 namespace acs {
+namespace {
+
+/// Allocates and frees every region itself, as a call without a
+/// RegionSource does, and counts the bytes it allocated.
+class CountingRegions final : public RegionSource {
+ public:
+  std::byte* take_region() override {
+    std::byte* region = allocate_region();
+    // mo: a tally read after the multiply's blocks joined.
+    bytes_.fetch_add(kPoolRegionBytes, std::memory_order_relaxed);
+    return region;
+  }
+  void give_back(std::byte* region) noexcept override { free_region(region); }
+
+  [[nodiscard]] std::size_t bytes() const {
+    // mo: read after the multiply returned.
+    return bytes_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<std::size_t> bytes_{0};
+};
+
+}  // namespace
 
 template <class T>
 BenchMeasurement run_benchmark(const SuiteEntry& entry,
@@ -86,10 +112,13 @@ BatchBenchResult run_naive_batch(
   const auto t0 = std::chrono::steady_clock::now();
   for (const auto& [a, b] : pairs) {
     SpgemmStats stats;
-    const Csr<T> c = multiply(a, b, cfg, &stats);
+    SpgemmPlan plan;  // fresh, as `multiply` runs
+    CountingRegions regions;
+    const Csr<T> c =
+        multiply_planned(a, b, cfg, plan, &stats, nullptr, &regions);
     r.sim_time_s += stats.sim_time_s;
     r.restarts += static_cast<std::size_t>(std::max(0, stats.restarts));
-    r.pool_fresh_bytes += stats.pool_bytes;  // every call sizes its own pool
+    r.pool_fresh_bytes += regions.bytes();
     r.metrics += to_metrics_snapshot(stats);
   }
   r.wall_s =

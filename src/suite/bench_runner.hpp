@@ -61,7 +61,9 @@ struct BatchBenchResult {
   std::size_t restarts = 0;           ///< summed over jobs
   double plan_hit_rate = 0.0;         ///< engine batches only
   std::size_t pool_reused_bytes = 0;  ///< engine batches only
-  std::size_t pool_fresh_bytes = 0;   ///< engine batches only
+  /// Chunk-pool region bytes newly allocated: the engine arena's fresh
+  /// regions, or every region the naive calls allocated.
+  std::size_t pool_fresh_bytes = 0;
   /// Aggregated per-job metrics (stage sim-time breakdown and the counter
   /// record; its trace-only tallies when the engine ran with
   /// collect_job_traces).

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "core/chunk.hpp"
+#include "matrix/generators.hpp"
 #include "suite/registry.hpp"
 
 namespace acs {
@@ -47,6 +52,25 @@ TEST(BenchRunner, RunsWholeAlgorithmList) {
     EXPECT_EQ(results[i].algorithm, algos[i]->name());
     EXPECT_EQ(results[i].nnz_c, results[0].nnz_c) << results[i].algorithm;
   }
+}
+
+TEST(BenchRunner, NaiveAndEngineReportRegionBytes) {
+  const auto a = gen_uniform_random<double>(150, 150, 5.0, 1.0, 71);
+  const std::vector<std::pair<Csr<double>, Csr<double>>> pairs(3, {a, a});
+  Config cfg;
+  cfg.pool_lower_bound_bytes = 64 << 10;  // charges far less than a region
+  runtime::EngineConfig ec;
+  ec.workers = 1;
+  runtime::Engine<double> engine(ec);
+  const auto cold = run_engine_batch(engine, pairs, cfg, "engine_cold");
+  const auto naive = run_naive_batch(pairs, cfg, "naive");
+  // Both rows count allocated chunk-pool regions, so they compare.
+  EXPECT_GT(cold.pool_fresh_bytes, 0u);
+  EXPECT_GT(naive.pool_fresh_bytes, 0u);
+  EXPECT_EQ(cold.pool_fresh_bytes % kPoolRegionBytes, 0u);
+  EXPECT_EQ(naive.pool_fresh_bytes % kPoolRegionBytes, 0u);
+  // Each naive call allocates its own regions; the engine recycles them.
+  EXPECT_GE(naive.pool_fresh_bytes, cold.pool_fresh_bytes);
 }
 
 TEST(BenchRunner, HarmonicMean) {

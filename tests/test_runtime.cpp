@@ -17,6 +17,7 @@
 #include "core/acspgemm.hpp"
 #include "fault/policies.hpp"
 #include "matrix/generators.hpp"
+#include "runtime/completion.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/fingerprint.hpp"
 #include "runtime/plan_cache.hpp"
@@ -338,6 +339,42 @@ TEST(MultiplyPlanned, ExternalWarmSchedulerBitIdentical) {
 }
 
 // --- Engine ---------------------------------------------------------------
+
+// --- Completion -------------------------------------------------------------
+
+TEST(Completion, FirstPublisherWins) {
+  Completion<int> done;
+  EXPECT_FALSE(done.ready());
+  std::vector<int> seen(4, 0);
+  std::vector<std::thread> waiters;
+  for (std::size_t i = 0; i < 2; ++i)  // started before the race
+    waiters.emplace_back([&done, &seen, i] { seen[i] = done.wait(); });
+
+  std::atomic<bool> go{false};
+  std::atomic<int> wins{0};
+  std::vector<std::thread> publishers;
+  for (int v = 1; v <= 4; ++v)
+    publishers.emplace_back([&done, &go, &wins, v] {
+      while (!go.load()) std::this_thread::yield();
+      if (done.complete(v)) ++wins;
+    });
+  go.store(true);
+  for (auto& t : publishers) t.join();
+
+  for (std::size_t i = 2; i < 4; ++i)  // started after the race
+    waiters.emplace_back([&done, &seen, i] { seen[i] = done.wait(); });
+  for (auto& t : waiters) t.join();
+
+  EXPECT_EQ(wins.load(), 1);
+  ASSERT_TRUE(done.ready());
+  const int value = done.wait();
+  EXPECT_GE(value, 1);
+  EXPECT_LE(value, 4);
+  for (const int v : seen) EXPECT_EQ(v, value);
+  // Later publications change nothing.
+  EXPECT_FALSE(done.complete(5));
+  EXPECT_EQ(done.wait(), value);
+}
 
 TEST(Engine, MatchesPlainMultiply) {
   const auto a = gen_powerlaw<double>(400, 400, 6.0, 1.6, 150, 11);

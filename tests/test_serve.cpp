@@ -197,7 +197,7 @@ TEST(ServeDrr, ShedPicksLowestPriorityLatestArrivalHighestId) {
 // --- ServeAdmission (virtual-time admission model) ------------------------
 
 TEST(ServeAdmission, AdmitsIdleAndPricesBacklog) {
-  AdmissionModel model(AdmissionConfig{1, 1.0, 0});
+  AdmissionModel model(AdmissionConfig{1});
   const auto d1 = model.evaluate(0.0, kInf, 1.0);
   EXPECT_TRUE(d1.admitted());
   EXPECT_EQ(d1.backlog_jobs, 0u);
@@ -212,7 +212,7 @@ TEST(ServeAdmission, AdmitsIdleAndPricesBacklog) {
 }
 
 TEST(ServeAdmission, RejectsDeadlineBlowersWithoutCommitting) {
-  AdmissionModel model(AdmissionConfig{1, 1.0, 0});
+  AdmissionModel model(AdmissionConfig{1});
   ASSERT_TRUE(model.evaluate(0.0, kInf, 1.0).admitted());
   const auto rej = model.evaluate(0.0, 1.5, 1.0);  // finish 2.0 > 1.5
   EXPECT_EQ(rej.outcome, AdmissionOutcome::kRejectedDeadline);
@@ -224,20 +224,8 @@ TEST(ServeAdmission, RejectsDeadlineBlowersWithoutCommitting) {
   EXPECT_DOUBLE_EQ(ok.predicted_finish_s, 2.0);
 }
 
-TEST(ServeAdmission, QueueCapRejectsWhenBacklogFull) {
-  AdmissionModel model(AdmissionConfig{1, 1.0, 2});
-  ASSERT_TRUE(model.evaluate(0.0, kInf, 1.0).admitted());
-  ASSERT_TRUE(model.evaluate(0.0, kInf, 1.0).admitted());
-  const auto rej = model.evaluate(0.0, kInf, 1.0);
-  EXPECT_EQ(rej.outcome, AdmissionOutcome::kRejectedQueueFull);
-  EXPECT_EQ(rej.backlog_jobs, 2u);
-  // The backlog drains on the virtual clock: the same submission later is
-  // admitted again.
-  EXPECT_TRUE(model.evaluate(2.5, kInf, 1.0).admitted());
-}
-
 TEST(ServeAdmission, BacklogDrainsWithVirtualClock) {
-  AdmissionModel model(AdmissionConfig{1, 1.0, 0});
+  AdmissionModel model(AdmissionConfig{1});
   ASSERT_TRUE(model.evaluate(0.0, kInf, 1.0).admitted());
   EXPECT_EQ(model.backlog_jobs(0.5), 1u);
   EXPECT_EQ(model.backlog_jobs(1.0), 0u);  // finish times <= now drop out
@@ -246,16 +234,8 @@ TEST(ServeAdmission, BacklogDrainsWithVirtualClock) {
   EXPECT_DOUBLE_EQ(d.predicted_finish_s, 4.0);
 }
 
-TEST(ServeAdmission, SafetyFactorScalesPricesNotRawCosts) {
-  AdmissionModel model(AdmissionConfig{1, 2.0, 0});
-  const auto d = model.evaluate(0.0, 1.5, 1.0);
-  EXPECT_EQ(d.outcome, AdmissionOutcome::kRejectedDeadline);
-  EXPECT_DOUBLE_EQ(d.predicted_cost_s, 2.0);  // 1.0 * safety 2.0
-  EXPECT_TRUE(model.evaluate(0.0, 2.0, 1.0).admitted());
-}
-
 TEST(ServeAdmission, MultipleExecutorsServeInParallel) {
-  AdmissionModel model(AdmissionConfig{2, 1.0, 0});
+  AdmissionModel model(AdmissionConfig{2});
   const auto d1 = model.evaluate(0.0, kInf, 1.0);
   const auto d2 = model.evaluate(0.0, kInf, 1.0);
   EXPECT_DOUBLE_EQ(d1.predicted_wait_s, 0.0);
@@ -325,9 +305,9 @@ TEST(ServeServer, DegradedAndTunedPathsBothReconstructBitIdentically) {
 
   // Degraded and warm jobs ran the same overlay — reported on
   // tuned_applied and equal to what choose picks directly...
-  const tune::AutoTuner tuner(scfg.tuner);
-  const auto feats = tune::extract_features(a, a, scfg.tuner.sample_stride,
-                                            scfg.tuner.min_samples);
+  const tune::AutoTuner tuner(tune::default_tuner_options(scfg.engine.arch));
+  const auto feats = tune::extract_features(a, a, tuner.options().sample_stride,
+                                            tuner.options().min_samples);
   const TunedParams expect = tuner.choose(feats, Config{}, sizeof(double));
   EXPECT_TRUE(cold.result().tuned_applied.valid);
   EXPECT_EQ(cold.result().tuned_applied, expect);
@@ -636,15 +616,13 @@ struct RunOutput {
 
 RunOutput run_trace(const std::vector<Csr<double>>& mats,
                     const std::vector<TraceEvent>& trace, unsigned workers,
-                    std::size_t dispatch_slack, double cbar, std::size_t pool,
+                    double cbar, std::size_t pool,
                     std::chrono::milliseconds pace = {}, Config job_cfg = {}) {
   ServerConfig scfg;
   scfg.engine.workers = workers;
-  scfg.dispatch_slack = dispatch_slack;
   scfg.tuning = true;
   scfg.tune_latency_s = 2.0 * cbar;
   scfg.admission.executors = 2;
-  scfg.admission.deadline_safety = 1.0;
   scfg.drr_quantum_s = cbar / 4.0;
   scfg.arena_ceiling_bytes = pool + pool / 2;
   scfg.shed_queue_jobs = 3;
@@ -695,8 +673,8 @@ TEST(ServeProperty, DecisionStreamIndependentOfWorkerCount) {
       {1, "beta", 1, 5.0 * c0, kInf},
   };
 
-  auto r1 = run_trace(mats, trace, 1, 1, c0, pool);
-  auto r4 = run_trace(mats, trace, 4, 3, c0, pool);
+  auto r1 = run_trace(mats, trace, 1, c0, pool);
+  auto r4 = run_trace(mats, trace, 4, c0, pool);
 
   ASSERT_EQ(r1.handles.size(), trace.size());
   ASSERT_EQ(r4.handles.size(), trace.size());
@@ -746,7 +724,6 @@ TEST(ServeProperty, DecisionStreamIndependentOfWorkerCount) {
     EXPECT_EQ(ta.admitted, tb.admitted);
     EXPECT_EQ(ta.rejected_deadline, tb.rejected_deadline);
     EXPECT_EQ(ta.rejected_quota, tb.rejected_quota);
-    EXPECT_EQ(ta.rejected_queue_full, tb.rejected_queue_full);
     EXPECT_EQ(ta.shed, tb.shed);
     EXPECT_EQ(ta.degraded, tb.degraded);
     EXPECT_EQ(ta.deadline_misses, tb.deadline_misses);
@@ -789,8 +766,8 @@ TEST(ServeProperty, DecisionStreamFieldExactUnderSampledPoolSizing) {
       {0, "alpha", 2, 4.0 * c0, kInf},
   };
 
-  auto r1 = run_trace(mats, trace, 1, 1, c0, pool, {}, sampled);
-  auto r4 = run_trace(mats, trace, 4, 3, c0, pool, {}, sampled);
+  auto r1 = run_trace(mats, trace, 1, c0, pool, {}, sampled);
+  auto r4 = run_trace(mats, trace, 4, c0, pool, {}, sampled);
 
   ASSERT_EQ(r1.handles.size(), trace.size());
   ASSERT_EQ(r4.handles.size(), trace.size());
@@ -851,8 +828,8 @@ TEST(ServeProperty, DecisionStreamInvariantToTunerThreadTiming) {
       {0, "beta", 0, 5.0 * c0, kInf},
   };
 
-  auto fast = run_trace(mats, trace, 4, 2, c0, pool);
-  auto slow = run_trace(mats, trace, 4, 2, c0, pool,
+  auto fast = run_trace(mats, trace, 4, c0, pool);
+  auto slow = run_trace(mats, trace, 4, c0, pool,
                         std::chrono::milliseconds(10));
 
   ASSERT_EQ(fast.handles.size(), trace.size());
