@@ -30,7 +30,7 @@ namespace {
 using sim::uniform_block_split;
 
 /// Output entries per chunk-copy task. An output under two grains, or a
-/// single-threaded scheduler, copies as one task, which the scheduler runs
+/// run at one scheduler thread, copies as one task, which the scheduler runs
 /// inline: a dispatch would cost more than it saves.
 constexpr std::size_t kCopyGrain = std::size_t{1} << 18;
 
@@ -65,7 +65,7 @@ class Pipeline {
  public:
   Pipeline(const Csr<T>& a, const Csr<T>& b, const Config& cfg,
            SpgemmPlan& plan, SpgemmStats& stats,
-           sim::BlockScheduler* scheduler, RegionSource* regions)
+           sim::BlockScheduler& scheduler, RegionSource* regions)
       : a_(a),
         b_(b),
         cfg_(cfg),
@@ -73,8 +73,8 @@ class Pipeline {
         plan_(plan),
         trace_(cfg.trace),
         timed_blocks_(cfg.trace ? &block_times_ : nullptr),
-        own_scheduler_(scheduler ? 1 : cfg.scheduler_threads),
-        scheduler_(scheduler ? *scheduler : own_scheduler_),
+        scheduler_(scheduler),
+        threads_(cfg.scheduler_threads),
         initial_pool_(validated_pool_bytes(a, b, cfg, plan)),
         pool_(initial_pool_, regions) {
     // Fault-injection hook (core/chunk.hpp): denials look exactly like pool
@@ -223,7 +223,7 @@ class Pipeline {
       // "ESC" spans whose sim times aggregate into the same stage total.
       ACS_TRACE_SPAN(span, trace_, "ESC");
       std::vector<EscBlockResult<T>> results(pending.size());
-      scheduler_.for_each_block(pending.size(), [&](std::size_t i) {
+      scheduler_.for_each_block(pending.size(), threads_, [&](std::size_t i) {
         trace::BlockTimer timer(timed_blocks_);
         results[i] = run_esc_block<T>(a_, b_, block_row_starts_, pending[i],
                                       cfg_, pool_, block_states_[pending[i]]);
@@ -373,7 +373,7 @@ class Pipeline {
     while (!pending.empty()) {
       std::vector<MergeOutcome<T>> results(pending.size());
       const std::span<const Chunk<T>> chunks(chunks_);
-      scheduler_.for_each_block(pending.size(), [&](std::size_t i) {
+      scheduler_.for_each_block(pending.size(), threads_, [&](std::size_t i) {
         trace::BlockTimer timer(timed_blocks_);
         const std::size_t t = pending[i];
         results[i] = run_merge_block<T>(
@@ -420,8 +420,7 @@ class Pipeline {
     // The copy runs as `tasks` row ranges of about kCopyGrain entries each
     // on the scheduler.
     const std::size_t tasks =
-        scheduler_.threads() > 1 && n >= 2 * kCopyGrain ? divup(n, kCopyGrain)
-                                                        : 1;
+        threads_ != 1 && n >= 2 * kCopyGrain ? divup(n, kCopyGrain) : 1;
     if (tasks > 1) {
       // Arrays this large are typically past the allocator's mmap
       // threshold, so every run maps them afresh, and value-initializing
@@ -429,7 +428,7 @@ class Pipeline {
       // scheduler first; `resize` then only writes zeros to mapped pages.
       c.col_idx.reserve(n);
       c.values.reserve(n);
-      scheduler_.for_each_block(tasks, [&](std::size_t t) {
+      scheduler_.for_each_block(tasks, threads_, [&](std::size_t t) {
         prefault_pages(c.col_idx.data(), n * sizeof(index_t), t, tasks);
         prefault_pages(c.values.data(), n * sizeof(T), t, tasks);
       });
@@ -452,7 +451,7 @@ class Pipeline {
           c.row_ptr.begin());
     };
     std::vector<sim::MetricCounters> task_metrics(tasks);
-    scheduler_.for_each_block(tasks, [&](std::size_t t) {
+    scheduler_.for_each_block(tasks, threads_, [&](std::size_t t) {
       copy_rows(first_row(t), first_row(t + 1), c, task_metrics[t]);
     });
     for (const sim::MetricCounters& tm : task_metrics) m += tm;
@@ -549,8 +548,9 @@ class Pipeline {
   /// the run is untraced, so they take no clock reads.
   trace::BlockTimes block_times_;
   trace::BlockTimes* timed_blocks_;
-  sim::BlockScheduler own_scheduler_;
   sim::BlockScheduler& scheduler_;
+  /// `cfg.scheduler_threads`, which every dispatch asks of the scheduler.
+  const unsigned threads_;
   std::size_t initial_pool_;
   /// Owns the storage every chunk views; declared before `chunks_`, so the
   /// headers go first and the regions are returned last.
@@ -617,7 +617,11 @@ Csr<T> multiply_planned(const Csr<T>& a, const Csr<T>& b, const Config& cfg,
   SpgemmStats& s = stats ? *stats : local;
   s = SpgemmStats{};
   const auto t0 = std::chrono::steady_clock::now();
-  Csr<T> c = Pipeline<T>(a, b, cfg, plan, s, scheduler, regions).run();
+  // A per-call scheduler's threads end with the call.
+  sim::BlockScheduler own;
+  Csr<T> c =
+      Pipeline<T>(a, b, cfg, plan, s, scheduler ? *scheduler : own, regions)
+          .run();
   s.wall_time_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

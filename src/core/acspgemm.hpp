@@ -46,8 +46,9 @@ Csr<T> multiply(const Csr<T>& a, const Csr<T>& b, const Config& cfg = {},
 /// only shortcut work, they never change results (determinism contract,
 /// DESIGN.md §6). `scheduler`, when non-null, executes the simulated blocks
 /// instead of a per-call scheduler, letting callers (the runtime Engine)
-/// keep one warm thread pool across many multiplications; it must outlive
-/// the call and not be shared with a concurrent multiplication.
+/// keep one warm thread pool across many multiplications, concurrent ones
+/// included; it must outlive the call. Either way the blocks run on
+/// `cfg.scheduler_threads` threads.
 /// `regions`, when non-null, supplies the chunk pool's storage regions and
 /// gets every one back before the call returns (the Engine's arena
 /// recycles them across jobs); without it the call maps its own and

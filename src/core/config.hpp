@@ -75,11 +75,11 @@ struct Config {
   /// affected block restarts and the output stays bit-identical (the
   /// injection sweep in tests/test_fault.cpp proves it per allocation site).
   AllocationPolicy* alloc_policy = nullptr;
-  /// Host threads executing simulated blocks; they also fault in C's pages
-  /// and copy its rows when the output is large (DESIGN.md §13). 1
-  /// (default) is fully deterministic including restart counts; >1 keeps
-  /// results bit-identical but the restart count may vary with
-  /// interleaving.
+  /// Host threads executing simulated blocks, asked of the scheduler by each
+  /// dispatch; they also fault in C's pages and copy its rows when the
+  /// output is large (DESIGN.md §13). 1 (default) is fully deterministic
+  /// including restart counts; >1 keeps results bit-identical but the
+  /// restart count may vary with interleaving; 0 = one per hardware thread.
   unsigned scheduler_threads = 1;
   /// Check the CSR invariants of both operands before multiplying (costs a
   /// full pass; off by default like the GPU original).

@@ -8,8 +8,9 @@
 /// key off the pool's global attempt index (and, for the byte-budget
 /// schedule, cumulative granted bytes), they are reproducible run-to-run
 /// and — except for which attempt carries which index — independent of
-/// scheduler interleaving. Install via `Config::alloc_policy` for one
-/// multiplication or `runtime::EngineConfig::make_alloc_policy` per job.
+/// scheduler interleaving. Install via `Config::alloc_policy`: on one
+/// multiplication, or per engine job on the Config it is submitted with
+/// (the policy must outlive the job).
 ///
 /// All policies are safe to call from concurrent scheduler threads and
 /// count their own denials for test assertions.

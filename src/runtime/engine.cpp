@@ -62,7 +62,6 @@ JobHandle<T> Engine<T>::submit(
   state->on_complete = std::move(on_complete);
   {
     acs::MutexLock lock(m_);
-    state->seq = stats_.jobs_submitted;
     queue_.push_back(state);
     ++in_flight_;
     ++stats_.jobs_submitted;
@@ -107,7 +106,6 @@ trace::MetricsSnapshot Engine<T>::metrics() const {
 
 template <class T>
 void Engine<T>::work_loop() {
-  WorkerContext ctx;
   for (;;) {
     std::shared_ptr<detail::JobState<T>> job;
     {
@@ -118,7 +116,7 @@ void Engine<T>::work_loop() {
       queue_.pop_front();
     }
     try {
-      run_job(*job, ctx);
+      run_job(*job);
     } catch (...) {
       // run_job failed outside its own handler (e.g. an allocation while
       // publishing the result). Fail this job only — never the worker: an
@@ -151,7 +149,7 @@ void Engine<T>::work_loop() {
 }
 
 template <class T>
-void Engine<T>::run_job(detail::JobState<T>& job, WorkerContext& ctx) {
+void Engine<T>::run_job(detail::JobState<T>& job) {
   JobResult<T> result;
   std::exception_ptr error;
   // The job's chunk pool draws its regions from the arena through this
@@ -165,29 +163,13 @@ void Engine<T>::run_job(detail::JobState<T>& job, WorkerContext& ctx) {
     session = std::make_shared<trace::TraceSession>();
     job.cfg.trace = session.get();
   }
-  // Per-job fault injection, keyed by submission order so a given job gets
-  // the same policy regardless of which worker picks it up. A policy the
-  // submitter installed on the job's Config takes precedence.
-  std::unique_ptr<AllocationPolicy> injected_policy;
-  if (config_.make_alloc_policy && job.cfg.alloc_policy == nullptr) {
-    injected_policy = config_.make_alloc_policy(job.seq);
-    job.cfg.alloc_policy = injected_policy.get();
-  }
   try {
     // The pipeline checks the operands before it prices the pool.
     const Fingerprint key = fingerprint(job.a, job.b, job.cfg.arch);
     SpgemmPlan plan;
     const bool hit = cache_.lookup(key, plan);
-
-    if (!ctx.scheduler ||
-        ctx.scheduler_threads != job.cfg.scheduler_threads) {
-      ctx.scheduler =
-          std::make_unique<sim::BlockScheduler>(job.cfg.scheduler_threads);
-      ctx.scheduler_threads = job.cfg.scheduler_threads;
-    }
-
     result.c = multiply_planned(job.a, job.b, job.cfg, plan, &result.stats,
-                                ctx.scheduler.get(), &lease);
+                                &scheduler_, &lease);
     result.plan_hit = hit;
     result.pool_reused_bytes = lease.reused_bytes();
     result.trace = session;
@@ -198,11 +180,24 @@ void Engine<T>::run_job(detail::JobState<T>& job, WorkerContext& ctx) {
     result.error = error;
   }
 
-  // Built outside m_ so the critical section stays a few additions.
+  // Read before the hook, which may move the result out; built outside m_
+  // so the critical section stays a few additions.
   trace::MetricsSnapshot job_metrics;
   if (!error) {
     job_metrics = to_metrics_snapshot(result.stats);
     if (session) job_metrics.counters = session->counters_snapshot();
+  }
+  // Completion hook before publication: the callback owns the result for
+  // its duration (no handle waiter can run until complete()). A throwing
+  // hook fails the job with its exception, so the job is counted after it.
+  if (auto cb = std::exchange(job.on_complete, nullptr)) {
+    try {
+      cb(result);
+    } catch (...) {
+      error = std::current_exception();
+      result = JobResult<T>{};
+      result.error = error;
+    }
   }
   {
     acs::MutexLock lock(m_);
@@ -212,11 +207,6 @@ void Engine<T>::run_job(detail::JobState<T>& job, WorkerContext& ctx) {
     else
       metrics_ += job_metrics;
   }
-  // Completion hook before publication: the callback owns the result for
-  // its duration (no handle waiter can run until complete()). Moving the
-  // hook out guarantees exactly-once even if it throws and the work_loop
-  // safety net re-reports the job.
-  if (auto cb = std::exchange(job.on_complete, nullptr)) cb(result);
   job.result.complete(std::move(result));
 }
 

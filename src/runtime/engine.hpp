@@ -6,8 +6,9 @@
 /// and collects the results. Every job goes through the plan cache (reusing
 /// global load balancing and learned pool sizes across identical sparsity
 /// patterns) and the pool arena (recycling chunk-pool storage regions
-/// instead of allocating them per call), and each engine worker keeps one warm
-/// BlockScheduler across jobs.
+/// instead of allocating them per call), and the workers share one
+/// BlockScheduler, whose threads run every job's blocks and stay warm
+/// across jobs.
 ///
 /// Determinism: each job individually keeps the DESIGN.md §6 contract —
 /// its output is bit-identical for any engine worker count, any plan-cache
@@ -36,7 +37,6 @@
 
 #include "arch/arch_id.hpp"
 #include "core/acspgemm.hpp"
-#include "core/chunk.hpp"
 #include "core/thread_annotations.hpp"
 #include "runtime/completion.hpp"
 #include "runtime/plan_cache.hpp"
@@ -48,8 +48,8 @@ namespace acs::runtime {
 
 struct EngineConfig {
   /// Worker threads executing jobs; 0 = std::thread::hardware_concurrency().
-  /// Each job runs on one worker (its simulated blocks may additionally use
-  /// `Config::scheduler_threads` scheduler threads).
+  /// Each job runs on one worker, which waits while the block pool that all
+  /// workers share runs its blocks on `Config::scheduler_threads` threads.
   unsigned workers = 1;
   /// Maximum plans kept by the LRU plan cache.
   std::size_t plan_cache_capacity = 64;
@@ -71,17 +71,6 @@ struct EngineConfig {
   /// tracing is cheap but not free, and throughput benches gate on the
   /// untraced path.
   bool collect_job_traces = false;
-  /// Per-job fault injection: when set, called with the job's 0-based
-  /// submission sequence number to build the chunk-pool `AllocationPolicy`
-  /// installed on that job (see src/fault/policies.hpp for the deterministic
-  /// injectors). The engine owns the returned policy for the job's duration.
-  /// A policy the caller already placed on the job's own Config wins; a null
-  /// return injects nothing for that job. Injected denials surface as
-  /// restarts / pool denials on the job's `JobResult::stats` and the
-  /// engine-wide `Engine::metrics()` — results stay bit-identical (the
-  /// determinism contract extends to injected exhaustion).
-  std::function<std::unique_ptr<AllocationPolicy>(std::size_t)>
-      make_alloc_policy;
 };
 
 /// Overlay `ecfg`'s backend onto a job Config: the identity for the
@@ -128,7 +117,6 @@ struct JobState {
   Csr<T> a;
   Csr<T> b;
   Config cfg;
-  std::size_t seq = 0;  ///< submission sequence number (fault injection key)
   /// Completion hook (may be empty). Invoked exactly once on the worker
   /// thread, after the job ran but *before* the result is published to the
   /// handle — the callback has the JobResult to itself, no handle waiter
@@ -239,20 +227,17 @@ class Engine {
   }
 
  private:
-  /// Per-worker reusable state: one warm BlockScheduler, rebuilt only when
-  /// a job requests a different scheduler thread count.
-  struct WorkerContext {
-    std::unique_ptr<sim::BlockScheduler> scheduler;
-    unsigned scheduler_threads = 0;
-  };
-
   void work_loop() ACS_EXCLUDES(m_);
-  void run_job(detail::JobState<T>& job, WorkerContext& ctx)
-      ACS_EXCLUDES(m_);
+  void run_job(detail::JobState<T>& job) ACS_EXCLUDES(m_);
 
   EngineConfig config_;
   PlanCache cache_;
   PoolArena arena_;
+  /// Every worker's blocks run here. Its threads start with the first job
+  /// that asks for more than one and end with the engine, which keeps the
+  /// chunk regions they first touched in the malloc arenas of this
+  /// engine's threads.
+  sim::BlockScheduler scheduler_;
 
   mutable acs::Mutex m_;
   acs::CondVar work_cv_;

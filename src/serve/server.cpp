@@ -352,10 +352,15 @@ TunedParams Server<T>::ensure_tuned_locked(const runtime::Fingerprint& fp) {
 
 template <class T>
 void Server<T>::drain() {
-  acs::MutexLock lock(m_);
-  advance_virtual_locked(std::numeric_limits<double>::infinity());
-  pump_locked();
-  while (unresolved_ != 0) drain_cv_.wait(lock);
+  {
+    acs::MutexLock lock(m_);
+    advance_virtual_locked(std::numeric_limits<double>::infinity());
+    pump_locked();
+    while (unresolved_ != 0) drain_cv_.wait(lock);
+  }
+  // The engine counts a job once its completion hook, which resolves the
+  // job here, has returned.
+  engine_->wait_all();
 }
 
 template <class T>

@@ -274,7 +274,8 @@ class Server {
       ACS_EXCLUDES(m_);
 
   /// Flush the virtual timeline (dispatching everything still queued) and
-  /// block until every admitted job has resolved.
+  /// block until every admitted job has resolved and the engine has
+  /// counted it.
   void drain() ACS_EXCLUDES(m_);
 
   /// Per-tenant rows plus totals summed from them; per-job pipeline

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdint>
 #include <exception>
 #include <thread>
 #include <vector>
@@ -10,109 +9,116 @@
 #include "core/thread_annotations.hpp"
 
 namespace acs::sim {
+namespace {
 
-/// Parked worker threads plus the state of the current dispatch. Workers
-/// wake on a generation bump, pull block ids from a shared atomic counter
-/// (the GPU's global block dispatcher) and signal completion when the last
-/// one runs out of blocks.
+/// One parallel dispatch, on its caller's stack while the caller waits.
+/// `num_blocks` and `body` are fixed before it opens; `slots` (pool threads
+/// that may still join, 0 once closed), `running` (pool threads inside) and
+/// `error` are guarded by the pool's `pool_m`.
+struct Dispatch {
+  std::size_t num_blocks;
+  const std::function<void(std::size_t)>* body;
+  unsigned slots;
+  unsigned running = 0;
+  std::exception_ptr error = nullptr;
+  std::atomic<std::size_t> next{0};
+};
+
+}  // namespace
+
+/// Parked pool threads plus the open dispatches. A pool thread joins the
+/// oldest dispatch that has a free slot, pulls its block ids from the
+/// dispatch's atomic counter (the GPU's global block dispatcher) and leaves
+/// when the counter runs out; the last one out wakes the dispatcher.
 struct BlockScheduler::Pool {
   acs::Mutex pool_m;
   acs::CondVar work_cv;
   acs::CondVar done_cv;
-  std::uint64_t generation ACS_GUARDED_BY(pool_m) = 0;
-  std::size_t num_blocks ACS_GUARDED_BY(pool_m) = 0;
-  const std::function<void(std::size_t)>* body ACS_GUARDED_BY(pool_m) = nullptr;
-  std::atomic<std::size_t> next{0};
-  std::size_t running ACS_GUARDED_BY(pool_m) = 0;
-  std::exception_ptr error ACS_GUARDED_BY(pool_m);
+  /// Dispatches that still take pool threads, oldest first.
+  std::vector<Dispatch*> open ACS_GUARDED_BY(pool_m);
+  std::vector<std::thread> threads ACS_GUARDED_BY(pool_m);
   bool stop ACS_GUARDED_BY(pool_m) = false;
-  std::vector<std::thread> workers;
-
-  explicit Pool(unsigned n) {
-    workers.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-      workers.emplace_back([this] { work_loop(); });
-  }
 
   ~Pool() {
+    std::vector<std::thread> joining;
     {
       acs::MutexLock lock(pool_m);
       stop = true;
+      joining.swap(threads);
     }
     work_cv.notify_all();
-    for (auto& t : workers) t.join();
+    for (auto& t : joining) t.join();
+  }
+
+  /// Open `d`, with enough pool threads for its slots, and wait until every
+  /// thread that joined it has left and no more can join.
+  void run(Dispatch& d) ACS_EXCLUDES(pool_m) {
+    acs::MutexLock lock(pool_m);
+    while (threads.size() < d.slots)
+      threads.emplace_back([this] { work_loop(); });
+    open.push_back(&d);
+    work_cv.notify_all();
+    while (d.slots != 0 || d.running != 0) done_cv.wait(lock);
+  }
+
+  void close_locked(Dispatch& d) ACS_REQUIRES(pool_m) {
+    d.slots = 0;
+    std::erase(open, &d);
   }
 
   void work_loop() ACS_EXCLUDES(pool_m) {
-    std::uint64_t seen = 0;
     for (;;) {
-      const std::function<void(std::size_t)>* job;
-      std::size_t blocks;
+      Dispatch* d;
       {
         acs::MutexLock lock(pool_m);
-        while (!stop && generation == seen) work_cv.wait(lock);
+        while (!stop && open.empty()) work_cv.wait(lock);
         if (stop) return;
-        seen = generation;
-        job = body;
-        // Copy the dispatch size out: the ticket loop below runs unlocked,
-        // and `num_blocks` stays owned by pool_m until the next generation.
-        blocks = num_blocks;
+        d = open.front();
+        ++d->running;
+        if (--d->slots == 0) close_locked(*d);
       }
+      std::exception_ptr error;
       for (;;) {
         // mo: work-stealing ticket; block inputs/outputs are published by
-        // mo: the generation handshake under the pool mutex, not by this.
-        const std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
-        if (b >= blocks) break;
+        // mo: pool_m, taken to open, join and leave the dispatch.
+        const std::size_t b = d->next.fetch_add(1, std::memory_order_relaxed);
+        if (b >= d->num_blocks) break;
         try {
-          (*job)(b);
+          (*d->body)(b);
         } catch (...) {
-          acs::MutexLock lock(pool_m);
-          if (!error) error = std::current_exception();
+          error = std::current_exception();
           break;
         }
       }
-      {
-        acs::MutexLock lock(pool_m);
-        if (--running == 0) done_cv.notify_one();
-      }
+      acs::MutexLock lock(pool_m);
+      if (error && !d->error) d->error = error;
+      // The counter ran out, or a block threw and the blocks left are
+      // skipped: no later thread joins.
+      close_locked(*d);
+      if (--d->running == 0) done_cv.notify_all();
     }
   }
 };
 
-BlockScheduler::BlockScheduler(unsigned threads) : threads_(threads) {
-  if (threads_ == 0) threads_ = std::max(1u, std::thread::hardware_concurrency());
-}
-
+BlockScheduler::BlockScheduler() = default;
 BlockScheduler::~BlockScheduler() = default;
 
 void BlockScheduler::for_each_block(
-    std::size_t num_blocks, const std::function<void(std::size_t)>& body) const {
-  if (num_blocks == 0) return;
-  if (threads_ <= 1 || num_blocks == 1) {
+    std::size_t num_blocks, unsigned threads,
+    const std::function<void(std::size_t)>& body) const {
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  if (threads == 1 || num_blocks <= 1) {
     for (std::size_t b = 0; b < num_blocks; ++b) body(b);
     return;
   }
 
-  if (!pool_) pool_ = std::make_unique<Pool>(threads_);
-  Pool& p = *pool_;
-
-  std::exception_ptr err;
-  {
-    acs::MutexLock lock(p.pool_m);
-    p.num_blocks = num_blocks;
-    p.body = &body;
-    // mo: reset is published to workers by the generation bump + cv under
-    // mo: the mutex held here; the counter itself needs no ordering.
-    p.next.store(0, std::memory_order_relaxed);
-    p.running = p.workers.size();
-    p.error = nullptr;
-    ++p.generation;
-    p.work_cv.notify_all();
-    while (p.running != 0) p.done_cv.wait(lock);
-    err = p.error;
-    p.body = nullptr;
-  }
-  if (err) std::rethrow_exception(err);
+  std::call_once(pool_once_, [this] { pool_ = std::make_unique<Pool>(); });
+  Dispatch d{.num_blocks = num_blocks,
+             .body = &body,
+             .slots = static_cast<unsigned>(
+                 std::min<std::size_t>(threads, num_blocks))};
+  pool_->run(d);
+  if (d.error) std::rethrow_exception(d.error);
 }
 
 }  // namespace acs::sim

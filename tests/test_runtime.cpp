@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -330,12 +332,25 @@ TEST(MultiplyPlanned, ExternalWarmSchedulerBitIdentical) {
   const auto m = gen_powerlaw<double>(400, 400, 6.0, 1.6, 150, 71);
   Config cfg;
   cfg.scheduler_threads = 4;
-  sim::BlockScheduler scheduler(4);
+  sim::BlockScheduler scheduler;
   SpgemmPlan p1, p2;
   const auto c1 = multiply_planned(m, m, cfg, p1, nullptr, &scheduler);
   const auto c2 = multiply_planned(m, m, cfg, p2, nullptr, &scheduler);
   EXPECT_TRUE(c1.equals_exact(c2));
-  EXPECT_TRUE(c1.equals_exact(multiply(m, m, cfg)));
+  Config one_thread = cfg;
+  one_thread.scheduler_threads = 1;
+  const auto want = multiply(m, m, one_thread);
+  EXPECT_TRUE(c1.equals_exact(want));
+
+  // Two multiplications at once through the one scheduler.
+  SpgemmPlan p3, p4;
+  Csr<double> c3, c4;
+  std::thread other(
+      [&] { c3 = multiply_planned(m, m, cfg, p3, nullptr, &scheduler); });
+  c4 = multiply_planned(m, m, cfg, p4, nullptr, &scheduler);
+  other.join();
+  EXPECT_TRUE(c3.equals_exact(want));
+  EXPECT_TRUE(c4.equals_exact(want));
 }
 
 // --- Engine ---------------------------------------------------------------
@@ -421,23 +436,28 @@ TEST(Engine, RecyclesPoolRegionsAcrossJobs) {
     ec.workers = 1;
     ec.arch = arch::ArchId::kNativeCpu;
     ec.native_threads = 4;
-    if (deny_first)
-      ec.make_alloc_policy = [](std::size_t) {
-        return std::make_unique<fault::DenyNthPolicy>(0);
-      };
     Config cfg;
     apply_arch(cfg, ec);
     const auto want_dense = multiply(dense, dense, cfg);
     const auto want_small = multiply(small, small, cfg);
 
+    // Each job's Config carries its own policy, alive for the job.
+    fault::DenyNthPolicy deny[3] = {fault::DenyNthPolicy(0),
+                                    fault::DenyNthPolicy(0),
+                                    fault::DenyNthPolicy(0)};
+    const auto job_cfg = [&](std::size_t i) {
+      Config c;
+      if (deny_first) c.alloc_policy = &deny[i];
+      return c;
+    };
     Engine<double> engine(ec);
-    auto h1 = engine.submit(dense, dense);
+    auto h1 = engine.submit(dense, dense, job_cfg(0));
     const auto& first = h1.result();
     const std::size_t fresh = engine.arena_counters().fresh_bytes;
     EXPECT_GT(fresh, 0u);
-    auto h2 = engine.submit(small, small);
+    auto h2 = engine.submit(small, small, job_cfg(1));
     const auto& second = h2.result();
-    auto h3 = engine.submit(dense, dense);
+    auto h3 = engine.submit(dense, dense, job_cfg(2));
     const auto& third = h3.result();
     EXPECT_EQ(engine.arena_counters().fresh_bytes, fresh)
         << "deny_first " << deny_first;
@@ -585,10 +605,9 @@ TEST(Engine, CollectJobTracesAttachesSessionPerJob) {
 }
 
 TEST(Engine, PerJobFaultInjectionKeepsResultsBitIdentical) {
-  // EngineConfig::make_alloc_policy builds one injector per job, keyed by
-  // submission order: the injected denials force restarts that must leave
-  // every job's output bit-identical to a clean engine's, while surfacing
-  // on the engine-wide metrics.
+  // Each job's Config carries its own injector: the injected denials force
+  // restarts that must leave every job's output bit-identical to a clean
+  // engine's, while surfacing on the engine-wide metrics.
   const auto a = gen_uniform_random<double>(300, 300, 6.0, 2.0, 41);
   const auto b = gen_powerlaw<double>(300, 300, 5.0, 1.5, 100, 42);
   std::vector<std::pair<Csr<double>, Csr<double>>> pairs = {
@@ -597,20 +616,25 @@ TEST(Engine, PerJobFaultInjectionKeepsResultsBitIdentical) {
   Engine<double> clean_engine;
   const auto clean = clean_engine.multiply_batch(pairs);
 
+  // Job 1 runs without a policy, so it injects nothing.
+  std::vector<std::unique_ptr<AllocationPolicy>> policies;
+  for (std::size_t i = 0; i < pairs.size(); ++i)
+    policies.push_back(
+        i == 1 ? nullptr : std::make_unique<fault::DenyEveryKthPolicy>(5, i));
   EngineConfig ec;
   ec.workers = 2;
-  ec.make_alloc_policy =
-      [](std::size_t seq) -> std::unique_ptr<AllocationPolicy> {
-    if (seq == 1) return nullptr;  // a null return injects nothing
-    return std::make_unique<fault::DenyEveryKthPolicy>(5, seq);
-  };
   Engine<double> engine(ec);
-  const auto injected = engine.multiply_batch(pairs);
+  std::vector<JobHandle<double>> handles;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    Config cfg;
+    cfg.alloc_policy = policies[i].get();
+    handles.push_back(engine.submit(pairs[i].first, pairs[i].second, cfg));
+  }
 
-  ASSERT_EQ(injected.size(), clean.size());
-  for (std::size_t i = 0; i < injected.size(); ++i) {
-    ASSERT_FALSE(injected[i].failed()) << "job " << i;
-    EXPECT_TRUE(injected[i].c.equals_exact(clean[i].c)) << "job " << i;
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    const JobResult<double>* r = nullptr;
+    ASSERT_NO_THROW(r = &handles[i].result()) << "job " << i;
+    EXPECT_TRUE(r->c.equals_exact(clean[i].c)) << "job " << i;
   }
   EXPECT_EQ(engine.stats().jobs_failed, 0u);
   // Injected exhaustion is visible on the aggregated metrics.
@@ -767,6 +791,61 @@ TEST(Engine, CompletionCallbackFiresOnFailedJobs) {
   // The engine keeps serving after a failed job with a callback attached.
   auto ok = engine.submit(a, a);
   EXPECT_TRUE(ok.result().c.equals_exact(multiply(a, a)));
+}
+
+TEST(Engine, ThrowingCompletionHookCountsTheJobOnce) {
+  // The hook's exception becomes the job's error, and the job is counted
+  // once, as a failure, with nothing added to the success metrics.
+  const auto a = gen_uniform_random<double>(60, 60, 4.0, 1.0, 88);
+  Engine<double> engine;
+  auto h = engine.submit(a, a, Config{}, [](JobResult<double>&) {
+    throw std::runtime_error("hook failed");
+  });
+  EXPECT_THROW(static_cast<void>(h.result()), std::runtime_error);
+  engine.wait_all();
+  EXPECT_EQ(engine.stats().jobs_submitted, 1u);
+  EXPECT_EQ(engine.stats().jobs_completed, 1u);
+  EXPECT_EQ(engine.stats().jobs_failed, 1u);
+  EXPECT_EQ(engine.metrics().jobs, 0u);
+}
+
+TEST(Engine, WorkersShareOneBlockPool) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "counts threads in /proc/self/task";
+#else
+  const auto process_threads = [] {
+    namespace fs = std::filesystem;
+    return std::distance(fs::directory_iterator("/proc/self/task"),
+                         fs::directory_iterator());
+  };
+  // Multi-block jobs: about 7000 non-zeros of A, 256 per block.
+  const auto a = gen_uniform_random<double>(1000, 1000, 7.0, 2.0, 89);
+  EngineConfig ec;
+  ec.workers = 4;
+  ec.arch = arch::ArchId::kNativeCpu;
+  ec.native_threads = 4;
+  Config cfg;
+  apply_arch(cfg, ec);
+  const auto want = multiply(a, a, cfg);
+
+  const auto before = process_threads();
+  Engine<double> engine(ec);
+  // Each hook holds its worker until all four jobs have run, so every
+  // worker runs one of them.
+  std::atomic<int> arrived{0};
+  std::vector<JobHandle<double>> handles;
+  for (int i = 0; i < 4; ++i)
+    handles.push_back(
+        engine.submit(a, a, Config{}, [&arrived](JobResult<double>&) {
+          arrived.fetch_add(1);
+          while (arrived.load() < 4) std::this_thread::yield();
+        }));
+  engine.wait_all();
+  // Four workers and at most four pool threads; a pool per worker would
+  // add 16.
+  EXPECT_LE(process_threads() - before, 8);
+  for (auto& h : handles) EXPECT_TRUE(h.result().c.equals_exact(want));
+#endif
 }
 
 TEST(Engine, QueueDepthAndInFlightIntrospection) {
